@@ -37,6 +37,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bloom/bloom_filter.h"
+#include "bloom/summary.h"
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "dht/chord_ring.h"
@@ -97,6 +98,41 @@ void BM_BloomQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BloomQuery);
+
+// One peer-direct candidate scan: a query key probed against 50 neighbor
+// summaries of the default geometry (500 objects x 8 bits, k=5), each
+// summarizing 100 cached objects. Arg 0 hashes the key inside every probe;
+// arg 1 hashes it once with HashOf and reuses the pair for all 50.
+void BM_BloomProbeView(benchmark::State& state) {
+  const bool hash_once = state.range(0) != 0;
+  constexpr int kSummaries = 50;
+  std::vector<ContentSummary> view;
+  view.reserve(kSummaries);
+  for (int s = 0; s < kSummaries; ++s) {
+    view.emplace_back(500, 8, 5);
+    for (int i = 0; i < 100; ++i) {
+      view.back().Add(Mix64(static_cast<uint64_t>(s * 131 + i)));
+    }
+  }
+  uint64_t key = 0;
+  for (auto _ : state) {
+    const ObjectId object = Mix64(key++ % 1000);
+    int hits = 0;
+    if (hash_once) {
+      const BloomFilter::Hash h = BloomFilter::HashOf(object);
+      for (const ContentSummary& summary : view) {
+        hits += summary.MaybeContains(h) ? 1 : 0;
+      }
+    } else {
+      for (const ContentSummary& summary : view) {
+        hits += summary.MaybeContains(object) ? 1 : 0;
+      }
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(state.iterations() * kSummaries);
+}
+BENCHMARK(BM_BloomProbeView)->ArgName("hash_once")->Arg(0)->Arg(1);
 
 void BM_SummaryRebuild(benchmark::State& state) {
   const int64_t objects = state.range(0);

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/rng.h"
-
 namespace flower {
 
 BloomFilter::BloomFilter(size_t num_bits, int num_hashes)
@@ -15,30 +13,13 @@ BloomFilter::BloomFilter(size_t num_bits, int num_hashes)
   assert(num_hashes > 0);
 }
 
-void BloomFilter::Positions(uint64_t key, std::vector<size_t>* out) const {
-  out->clear();
-  uint64_t h1 = Mix64(key);
-  uint64_t h2 = Mix64(key ^ 0x5851f42d4c957f2dULL) | 1;  // odd step
-  for (int i = 0; i < num_hashes_; ++i) {
-    out->push_back(static_cast<size_t>((h1 + static_cast<uint64_t>(i) * h2) %
-                                       num_bits_));
-  }
-}
-
 void BloomFilter::Add(uint64_t key) {
-  std::vector<size_t> pos;
-  Positions(key, &pos);
-  for (size_t p : pos) bits_[p / 64] |= (1ULL << (p % 64));
-  ++insertions_;
-}
-
-bool BloomFilter::MaybeContains(uint64_t key) const {
-  std::vector<size_t> pos;
-  Positions(key, &pos);
-  for (size_t p : pos) {
-    if ((bits_[p / 64] & (1ULL << (p % 64))) == 0) return false;
+  const Hash h = HashOf(key);
+  for (int i = 0; i < num_hashes_; ++i) {
+    const size_t p = Position(h, i);
+    bits_[p / 64] |= (1ULL << (p % 64));
   }
-  return true;
+  ++insertions_;
 }
 
 void BloomFilter::Clear() {

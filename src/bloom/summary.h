@@ -24,6 +24,9 @@ class ContentSummary {
 
   void Add(ObjectId id) { filter_.Add(id); }
   bool MaybeContains(ObjectId id) const { return filter_.MaybeContains(id); }
+  bool MaybeContains(const BloomFilter::Hash& h) const {
+    return filter_.MaybeContains(h);
+  }
   void Clear() { filter_.Clear(); }
 
   /// Rebuilds from a full object list.

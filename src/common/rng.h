@@ -14,10 +14,19 @@
 namespace flower {
 
 /// SplitMix64 step; also usable as a 64-bit mixing/finalizing function.
-uint64_t SplitMix64(uint64_t* state);
+/// Inline because Bloom hashing calls it on every query probe.
+inline uint64_t SplitMix64(uint64_t* state) {
+  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Mixes a 64-bit value (stateless finalizer of SplitMix64).
-uint64_t Mix64(uint64_t x);
+inline uint64_t Mix64(uint64_t x) {
+  uint64_t state = x;
+  return SplitMix64(&state);
+}
 
 /// xoshiro256** engine with convenience distributions.
 /// Satisfies UniformRandomBitGenerator so it can also drive <random>.

@@ -264,10 +264,11 @@ bool DirectoryPeer::RedirectViaViewSummaries(
   // Used by freshly promoted directories while the index rebuilds
   // (Sec 5.2: "answers first queries from its content summaries").
   std::vector<PeerAddress> candidates;
+  const BloomFilter::Hash h = BloomFilter::HashOf(query->object);
   for (const ViewEntry& e : view_.entries()) {
     if (!e.summary || e.addr == query->client || e.addr == address()) continue;
     if (dir_store_.Contains(e.addr)) continue;  // already tried via the index
-    if (e.summary->MaybeContains(query->object)) candidates.push_back(e.addr);
+    if (e.summary->MaybeContains(h)) candidates.push_back(e.addr);
   }
   if (candidates.empty()) return false;
   PeerAddress target = candidates[rng_.Index(candidates.size())];
@@ -281,9 +282,10 @@ bool DirectoryPeer::RedirectViaDirSummaries(
     std::unique_ptr<FlowerQueryMsg>& query) {
   if (query->dir_redirects >= 2) return false;  // bound dir-to-dir forwarding
   std::vector<const DirectoryStore::NeighborSummary*> candidates;
+  const BloomFilter::Hash h = BloomFilter::HashOf(query->object);
   for (const auto& [dir_id, ns] : dir_store_.summaries()) {
     if (ns.addr == address() || !ns.summary) continue;
-    if (ns.summary->MaybeContains(query->object)) candidates.push_back(&ns);
+    if (ns.summary->MaybeContains(h)) candidates.push_back(&ns);
   }
   if (candidates.empty()) return false;
   const DirectoryStore::NeighborSummary* target =

@@ -20,8 +20,8 @@
 #define FLOWER_POISON(addr, size) ASAN_POISON_MEMORY_REGION(addr, size)
 #define FLOWER_UNPOISON(addr, size) ASAN_UNPOISON_MEMORY_REGION(addr, size)
 #else
-#define FLOWER_POISON(addr, size) ((void)0)
-#define FLOWER_UNPOISON(addr, size) ((void)0)
+#define FLOWER_POISON(addr, size) ((void)(addr), (void)(size))
+#define FLOWER_UNPOISON(addr, size) ((void)(addr), (void)(size))
 #endif
 
 namespace flower {

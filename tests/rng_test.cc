@@ -157,5 +157,31 @@ TEST(RngTest, Mix64IsDeterministicAndSpreads) {
   EXPECT_NE(Mix64(1), Mix64(2));
 }
 
+// Every derived RNG stream, Bloom bit position and object size hangs off
+// these finalizers, so their exact values are pinned, not only their
+// determinism.
+TEST(RngTest, Mix64MatchesPinnedValues) {
+  EXPECT_EQ(Mix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(Mix64(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(Mix64(42), 0xbdd732262feb6e95ULL);
+  EXPECT_EQ(Mix64(0xdeadbeefULL), 0x4adfb90f68c9eb9bULL);
+  EXPECT_EQ(Mix64(~0ULL), 0xe4d971771b652c20ULL);
+}
+
+TEST(RngTest, SplitMix64MatchesPinnedSequence) {
+  uint64_t state = 0;
+  EXPECT_EQ(SplitMix64(&state), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(state, 0x9e3779b97f4a7c15ULL);
+  EXPECT_EQ(SplitMix64(&state), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(state, 0x3c6ef372fe94f82aULL);
+  EXPECT_EQ(SplitMix64(&state), 0x06c45d188009454fULL);
+  EXPECT_EQ(state, 0xdaa66d2c7ddf743fULL);
+
+  state = 42;
+  EXPECT_EQ(SplitMix64(&state), 0xbdd732262feb6e95ULL);
+  EXPECT_EQ(SplitMix64(&state), 0x28efe333b266f103ULL);
+  EXPECT_EQ(state, 0x3c6ef372fe94f854ULL);
+}
+
 }  // namespace
 }  // namespace flower
