@@ -1,7 +1,9 @@
 #include "common/config.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "cache/eviction_policy.h"
 #include "net/fault_injector.h"
@@ -12,10 +14,19 @@ namespace {
 
 bool ParseInt(const std::string& v, int64_t* out) {
   char* end = nullptr;
+  errno = 0;
   long long x = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') return false;
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE) return false;
   *out = x;
   return true;
+}
+
+// True when v survives the trip into T unchanged: 4294967298 does not
+// fit an int (it would wrap to 2), -1 does not fit a uint64_t.
+template <typename T>
+bool FitsIn(int64_t v) {
+  if (std::is_unsigned<T>::value && v < 0) return false;
+  return static_cast<int64_t>(static_cast<T>(v)) == v;
 }
 
 bool ParseDouble(const std::string& v, double* out) {
@@ -60,7 +71,9 @@ bool ParseTimeString(const std::string& v, SimTime* out) {
   } else {
     return false;
   }
-  *out = num * mult;
+  SimTime product;
+  if (__builtin_mul_overflow(num, mult, &product)) return false;
+  *out = product;
   return true;
 }
 
@@ -96,7 +109,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
 
 #define INT_KEY(name, field)                                             \
   if (key == name) {                                                     \
-    if (!ParseInt(value, &i))                                            \
+    if (!ParseInt(value, &i) || !FitsIn<decltype(field)>(i))             \
       return Status::InvalidArgument("bad int for " + key);              \
     field = static_cast<decltype(field)>(i);                             \
     return Status::Ok();                                                 \
@@ -138,17 +151,10 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     return Status::Ok();
   }
   if (key == "shards") {
-    if (!ParseInt(value, &i) || i < 1) {
+    if (!ParseInt(value, &i) || i < 1 || !FitsIn<int>(i)) {
       return Status::InvalidArgument("shards wants an integer >= 1");
     }
     shards = static_cast<int>(i);
-    return Status::Ok();
-  }
-  if (key == "sim_engine") {
-    if (value != "heap" && value != "calendar") {
-      return UnknownEnumValue(key, value, {"heap", "calendar"});
-    }
-    sim_engine = value;
     return Status::Ok();
   }
   if (key == "shard_executor") {
@@ -305,7 +311,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     return Status::Ok();
   }
   if (key == "query_max_retries") {
-    if (!ParseInt(value, &i) || i < 0) {
+    if (!ParseInt(value, &i) || i < 0 || !FitsIn<int>(i)) {
       return Status::InvalidArgument(
           "query_max_retries wants an integer >= 0");
     }
@@ -320,7 +326,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     return Status::Ok();
   }
   if (key == "suspicion_keepalive_misses") {
-    if (!ParseInt(value, &i) || i < 0) {
+    if (!ParseInt(value, &i) || i < 0 || !FitsIn<int>(i)) {
       return Status::InvalidArgument(
           "suspicion_keepalive_misses wants an integer >= 0");
     }

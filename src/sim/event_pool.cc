@@ -9,7 +9,7 @@ void EventHandle::Cancel() {
   if (pool_->SlotAt(slot_).seq != seq_) return;
   // Destroy the callback now: closures can own handles back into the
   // queue (periodic timers), and their captures must not linger until
-  // the engine skims the stale ordering entry.
+  // the queue skims the stale ordering entry.
   pool_->FreeSlot(slot_);
   --pool_->live_;
   ++pool_->cancelled_;

@@ -1,24 +1,24 @@
-// Slot-pool substrate shared by the simulation engines (the 4-ary heap
-// EventQueue and the ladder CalendarQueue): slab-allocated event slots
-// with a free list, SBO callbacks stored in place (event_fn.h), and the
-// POD EventHandle ticket with its seq-based staleness protocol.
+// Slot pool under the simulation's EventQueue (event_queue.h):
+// slab-allocated event slots with a free list, SBO callbacks stored in
+// place (event_fn.h), and the POD EventHandle ticket with its seq-based
+// staleness protocol.
 //
-// The pool owns everything an engine does NOT need to order events:
+// The pool owns everything the queue does NOT need to order events:
 //  - Slots live in slabs that never move, so a callback can be invoked
 //    in place while new events are pushed.
-//  - A slot remembers the seq of its current occupant; a handle (or an
-//    engine-held item) whose seq no longer matches is stale — fired,
+//  - A slot remembers the seq of its current occupant; a handle (or a
+//    queue-held item) whose seq no longer matches is stale — fired,
 //    cancelled, or the slot was reused. seq is unique per push for the
 //    pool's lifetime, so there is no ABA window.
 //  - Cancellation destroys the callback and frees the slot immediately;
-//    engines drop the stale ordering entry lazily when they meet it.
+//    the queue drops the stale ordering entry lazily when it meets it.
 //    Handles hold no owning pointers, so the old shared_ptr-cycle
 //    teardown hazard cannot exist by construction.
 //
-// Engines also share Item, the 32-byte POD ordering entry whose key
-// packs (time, seq) into one 128-bit integer: a single branchless
-// compare is a total order (seq is unique) that breaks time ties FIFO —
-// the invariant that keeps every engine bit-identical to every other.
+// Item is the 32-byte POD ordering entry whose key packs (time, seq)
+// into one 128-bit integer: a single branchless compare is a total
+// order (seq is unique) that breaks time ties FIFO — the invariant that
+// makes dispatch order, and with it every simulation, deterministic.
 //
 // Handles must not outlive their pool: everything in this codebase that
 // stores one lives inside the owning Simulator's scope.
@@ -38,8 +38,7 @@ class EventPool;
 
 /// Handle to a scheduled event; allows cancellation. Default-constructed
 /// handles are inert. Copyable POD — all copies go stale together once
-/// the event fires or is cancelled. Engine-agnostic: the same handle
-/// type works for every engine built on EventPool.
+/// the event fires or is cancelled.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -69,7 +68,7 @@ class EventPool {
   /// Number of live (neither fired nor cancelled) events.
   size_t live_size() const { return live_; }
 
-  /// Events cancelled over the pool's lifetime (engine counter).
+  /// Events cancelled over the pool's lifetime.
   uint64_t events_cancelled() const { return cancelled_; }
 
   /// Slots currently pooled (diagnostics: peak concurrent events,
@@ -77,7 +76,7 @@ class EventPool {
   size_t pool_slots() const { return slabs_.size() * kSlabSlots; }
 
  protected:
-  // Engines are used as concrete types, never through a pool pointer.
+  // The queue is used as a concrete type, never through a pool pointer.
   ~EventPool() = default;
 
   static constexpr uint32_t kNoSlot = 0xffffffffu;
@@ -130,7 +129,7 @@ class EventPool {
   }
 
   /// Mints the handle for a freshly pushed event (friendship does not
-  /// extend to derived engines).
+  /// extend to the derived queue).
   EventHandle MakeHandle(uint32_t slot, uint64_t seq) {
     return EventHandle(this, slot, seq);
   }

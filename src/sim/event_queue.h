@@ -1,8 +1,9 @@
 // Priority queue of timed events with O(log n) push/pop and O(1)
-// cancellation — the `sim_engine=heap` engine. Ties on time break by
-// insertion sequence, which makes the whole simulation deterministic.
+// cancellation — the simulation's only scheduling engine. Ties on time
+// break by insertion sequence, which makes the whole simulation
+// deterministic.
 //
-// Engine layout (built on the shared slot pool, see event_pool.h):
+// Layout (built on the slot pool, see event_pool.h):
 //  - Events live in slab-allocated slot pools with a free list: a Push
 //    costs no heap allocation once the pool is warm, and the callback is
 //    SBO-stored in its slot (event_fn.h). Slabs never move, so a
@@ -17,10 +18,6 @@
 //    the callback in its slot (no move, no temporary), then recycle the
 //    slot. Pop (move the callback out) remains for callers that need
 //    the callable itself.
-//
-// The O(1)-amortized alternative for large live sets is the ladder
-// calendar queue (calendar_queue.h, `sim_engine=calendar`); both pop in
-// the identical (time, seq) total order.
 #ifndef FLOWERCDN_SIM_EVENT_QUEUE_H_
 #define FLOWERCDN_SIM_EVENT_QUEUE_H_
 

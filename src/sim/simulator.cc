@@ -25,8 +25,7 @@ constexpr uint64_t kLaneRngTag = 0x9e3779b97f4a7c15ull;
 
 int CurrentSimLane() { return tls_current_lane; }
 
-Simulator::Simulator(uint64_t seed, SimEngine engine)
-    : queue_(engine), rng_(seed), seed_(seed), engine_(engine) {}
+Simulator::Simulator(uint64_t seed) : rng_(seed), seed_(seed) {}
 
 EventHandle Simulator::Schedule(SimTime delay, EventFn fn) {
   assert(delay >= 0);
@@ -141,7 +140,7 @@ void Simulator::EnableSharding(ShardPlan plan) {
   shard_->lanes.reserve(static_cast<size_t>(shard_->plan.num_lanes));
   for (int l = 0; l < shard_->plan.num_lanes; ++l) {
     shard_->lanes.push_back(std::make_unique<Lane>(
-        Mix64(seed_ ^ (kLaneRngTag + static_cast<uint64_t>(l))), engine_));
+        Mix64(seed_ ^ (kLaneRngTag + static_cast<uint64_t>(l)))));
   }
 }
 
@@ -227,7 +226,7 @@ void Simulator::RunControlUntil(SimTime bound) {
 }
 
 bool Simulator::LaneHasEventBefore(int lane, SimTime bound) const {
-  const EngineQueue& q = shard_->lanes[static_cast<size_t>(lane)]->queue;
+  const EventQueue& q = shard_->lanes[static_cast<size_t>(lane)]->queue;
   return !q.empty() && q.NextTime() <= bound;
 }
 

@@ -67,6 +67,21 @@ TEST(ConfigTest, MalformedValueRejected) {
   EXPECT_FALSE(c.Apply("zipf_alpha", "..").ok());
   EXPECT_FALSE(c.Apply("gossip_period", "5parsecs").ok());
   EXPECT_FALSE(c.Apply("churn_enabled", "maybe").ok());
+  // Out of range for the field: never wrapped, truncated or clamped.
+  EXPECT_FALSE(c.Apply("shards", "4294967298").ok());
+  EXPECT_FALSE(c.Apply("num_topology_nodes", "4294967796").ok());
+  EXPECT_FALSE(c.Apply("cache_capacity_bytes", "-1").ok());
+  EXPECT_FALSE(c.Apply("seed", "99999999999999999999").ok());
+  EXPECT_FALSE(c.Apply("duration", "9999999999999h").ok());
+  EXPECT_FALSE(c.Apply("query_max_retries", "4294967299").ok());
+  EXPECT_FALSE(c.Apply("suspicion_keepalive_misses", "4294967296").ok());
+  EXPECT_EQ(c.shards, 1);
+  EXPECT_EQ(c.num_topology_nodes, 5000);
+  EXPECT_EQ(c.cache_capacity_bytes, 0u);
+  EXPECT_EQ(c.seed, 42u);
+  EXPECT_EQ(c.duration, 24 * kHour);
+  EXPECT_EQ(c.query_max_retries, 3);
+  EXPECT_EQ(c.suspicion_keepalive_misses, 0);
 }
 
 TEST(ConfigTest, ApplyArgs) {

@@ -145,6 +145,30 @@ TEST(EventQueueTest, SameTimeFifoSurvivesSlotChurn) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
+TEST(EventQueueTest, CancelledBurstSurvivorsFireFifo) {
+  // Cancel most of a same-time burst queued behind earlier events: the
+  // survivors must fire in push order and the cancellation counter must
+  // stay exact.
+  EventQueue q;
+  for (int i = 0; i < 16; ++i) {
+    q.Push(static_cast<SimTime>(i * 1000), []() {});
+  }
+  std::vector<EventHandle> burst;
+  std::vector<int> order;
+  for (int i = 0; i < 300; ++i) {
+    burst.push_back(q.Push(9500, [&order, i]() { order.push_back(i); }));
+  }
+  for (int i = 0; i < 300; ++i) {
+    if (i % 10 != 0) burst[static_cast<size_t>(i)].Cancel();
+  }
+  EXPECT_EQ(q.events_cancelled(), 270u);
+  SimTime t;
+  while (!q.empty()) q.Pop(&t)();
+  ASSERT_EQ(order.size(), 30u);
+  for (int i = 0; i < 30; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i * 10);
+  EXPECT_EQ(q.events_cancelled(), 270u);
+}
+
 // --- Reference-model stress ---------------------------------------------------
 
 TEST(EventQueueStress, InterleavedPushCancelPopMatchesModel) {
@@ -262,6 +286,22 @@ TEST(EventQueueTest, CallbackMayPushDuringInPlaceDispatch) {
   }
   EXPECT_EQ(depth, 301);
   for (int i = 0; i <= 300; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(EventQueueTest, SameTimePushFromCallbackRunsThisRound) {
+  // An event scheduled at the current dispatch time from inside a firing
+  // callback must run before any later event.
+  EventQueue q;
+  std::vector<int> order;
+  q.Push(100, [&]() {
+    order.push_back(1);
+    q.Push(100, [&order]() { order.push_back(2); });
+  });
+  q.Push(200, [&order]() { order.push_back(3); });
+  SimTime t;
+  while (q.RunNextIfBefore(kMaxSimTime, [&t](SimTime when) { t = when; })) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 // --- Teardown with pending self-referential timers ----------------------------

@@ -175,8 +175,8 @@ TEST(ShardedDeterminismGolden, ChurnAndReplicationStress) {
 // layer fully lit up — loss, duplication, jitter, a partition window,
 // silent crashes under churn, plus query timeouts and keepalive-ack
 // suspicion. All injector draws come from per-lane derived streams, so
-// shards=2 and shards=4 must stay byte-identical across executors,
-// engines and reruns; shards=1 is the serial engine (own schedule,
+// shards=2 and shards=4 must stay byte-identical across executors and
+// reruns; shards=1 is the serial engine (own schedule,
 // asserted self-consistent only).
 TEST(ShardedDeterminismGolden, FaultInjectionStress) {
   SimConfig base = ShardConfig();
@@ -222,13 +222,6 @@ TEST(ShardedDeterminismGolden, FaultInjectionStress) {
   SinkOutput threads = RunWithSinks(threads_cfg, "fault_s2_threads");
   EXPECT_EQ(s2.text, threads.text);
   EXPECT_EQ(s2.json, threads.json);
-
-  // Engine independence (calendar queue vs. binary heap).
-  SimConfig cal_cfg = two;
-  cal_cfg.sim_engine = "calendar";
-  SinkOutput cal = RunWithSinks(cal_cfg, "fault_s2_calendar");
-  EXPECT_EQ(s2.text, cal.text);
-  EXPECT_EQ(s2.json, cal.json);
 
   // Rerun determinism of the sharded faulty schedule.
   SinkOutput s2b = RunWithSinks(two, "fault_s2_again");
