@@ -1,6 +1,7 @@
 // Microbenchmarks for the hot data structures of the simulator and the
 // protocols (google-benchmark: event queue, Bloom filters, view merges,
-// Zipf sampling, Chord routing steps, topology latency lookups), plus
+// Zipf sampling, Chord routing steps, topology latency lookups, keyed
+// store eviction churn), plus
 // two subcommands that need no google-benchmark:
 //
 //   ./bench_micro sweep quick json   # end-to-end smoke run per system
@@ -32,6 +33,7 @@
 
 #include "bloom/bloom_filter.h"
 #include "bloom/summary.h"
+#include "cache/keyed_store.h"
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "dht/chord_ring.h"
@@ -230,6 +232,38 @@ void BM_RngNext(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngNext);
+
+// KeyedStore under constant eviction: a full store of `residents`
+// equal-size entries where every op inserts a fresh key (at a random
+// sorted position), evicting exactly one victim, and touches a key
+// inserted residents/2 ops earlier. Args: policy (1 lru, 2 lfu, 3 gdsf,
+// the CachePolicy values) x resident count; the victim is a linear scan,
+// so this records where that scan starts to cost.
+void BM_KeyedStoreChurn(benchmark::State& state) {
+  const auto policy = static_cast<CachePolicy>(state.range(0));
+  const auto residents = static_cast<uint64_t>(state.range(1));
+  constexpr uint64_t kSize = 100;
+  KeyedStore<ObjectId> store(policy, residents * kSize);
+  std::vector<ObjectId> recent(residents);
+  std::vector<ObjectId> evicted;
+  uint64_t next = 0;
+  for (; next < residents; ++next) {
+    recent[next % residents] = Mix64(next);
+    store.Insert(recent[next % residents], kSize);
+  }
+  for (auto _ : state) {
+    evicted.clear();
+    store.Touch(recent[(next + residents / 2) % residents]);
+    recent[next % residents] = Mix64(next);
+    store.Insert(recent[next % residents], kSize, &evicted);
+    ++next;
+    benchmark::DoNotOptimize(evicted.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KeyedStoreChurn)
+    ->ArgNames({"policy", "residents"})
+    ->ArgsProduct({{1, 2, 3}, {32, 512, 4096}});
 
 }  // namespace
 }  // namespace flower

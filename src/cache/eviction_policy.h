@@ -5,9 +5,9 @@
 // its directory peers index their whole overlay; real CDN edges operate
 // under storage pressure on both. Every bounded store in the system —
 // ContentStore (peer caches) and DirectoryStore (directory index entries)
-// — delegates its victim choice to a KeyedEvictionPolicy selected by this
-// enum, so experiments can ablate replacement strategies without touching
-// the protocol code.
+// — picks its victims by the rank order this enum selects (KeyedStore
+// keeps each resident's rank beside it), so experiments can ablate
+// replacement strategies without touching the protocol code.
 //
 // All policies are fully deterministic: victim choice never draws from an
 // Rng, so enabling a bounded store perturbs no RNG stream anywhere in the

@@ -1,6 +1,6 @@
 // The generic eviction engine behind every capacity-bounded map in the
-// system: a byte-accounted store of Key -> size with a pluggable
-// replacement policy and an optional admission hook.
+// system: a byte-accounted store of Key -> size with a replacement
+// policy (CachePolicy) and an optional admission hook.
 //
 // Two stores run on this engine today:
 //  - ContentStore (content_store.h): ObjectId-keyed peer storage, the
@@ -13,12 +13,16 @@
 // plain std::map (sorted iteration, no evictions), so unbounded runs
 // reproduce the seed's RNG draws and metric values bit-identically.
 //
-// Storage is flat (two parallel sorted vectors, ~12 bytes per resident
-// vs ~64 bytes per red-black-tree node): at 100k peers the per-peer
-// content stores dominate RSS, so the resident set must cost bytes, not
+// One representation: residents live in parallel sorted vectors — keys_,
+// sizes_ and, on bounded stores with a ranking policy, ranks_ (each
+// resident's eviction rank). ~12 bytes per resident when unranked (vs
+// ~64 bytes per red-black-tree node): at 100k peers the per-peer content
+// stores dominate RSS, so the resident set must cost bytes, not
 // pointers. Iteration order (ascending keys) is identical to the map it
-// replaced; inserts/erases are O(n) memmoves, which is cheap at the
-// tens-to-hundreds of residents a peer store actually holds.
+// replaced. Inserts/erases are O(n) memmoves and the victim is an O(n)
+// scan for the lowest rank, both cheap at the tens-to-hundreds of
+// residents a peer store actually holds (bench_micro BM_KeyedStoreChurn
+// records the cost at larger resident sets).
 #ifndef FLOWERCDN_CACHE_KEYED_STORE_H_
 #define FLOWERCDN_CACHE_KEYED_STORE_H_
 
@@ -27,237 +31,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <set>
-#include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cache/eviction_policy.h"
 
 namespace flower {
-
-/// Victim-selection strategy plugged into a KeyedStore. The store owns
-/// residency and byte accounting; the policy only ranks residents.
-template <typename K>
-class KeyedEvictionPolicy {
- public:
-  virtual ~KeyedEvictionPolicy() = default;
-
-  /// `key` became resident with the given size. `cost` is the retrieval
-  /// cost GDSF weighs into its priority (1.0 everywhere except
-  /// latency-aware caching, see `cache_cost=distance`).
-  virtual void OnInsert(const K& key, uint64_t size_bytes, double cost) = 0;
-
-  /// `key` was accessed (local hit, serve to another peer, liveness
-  /// contact).
-  virtual void OnAccess(const K& key) = 0;
-
-  /// The accounted size of a resident `key` changed (directory index
-  /// entries grow and shrink with their object lists). Only size-aware
-  /// policies care.
-  virtual void OnResize(const K& key, uint64_t size_bytes) {
-    (void)key;
-    (void)size_bytes;
-  }
-
-  /// `key` left the store (evicted or erased).
-  virtual void OnRemove(const K& key) = 0;
-
-  /// Selects the next key to evict. Returns false when the policy
-  /// refuses to name a victim (Unbounded) or tracks nothing.
-  virtual bool ChooseVictim(K* out) const = 0;
-
-  virtual CachePolicy kind() const = 0;
-};
-
-namespace cache_detail {
-
-/// Keep-everything: never names a victim. The store treats an unanswered
-/// ChooseVictim on a full store as an admission rejection, so pairing
-/// this with a finite capacity yields a "first come, stay forever"
-/// store; with capacity 0 (unlimited) it reproduces the paper exactly.
-template <typename K>
-class UnboundedPolicy : public KeyedEvictionPolicy<K> {
- public:
-  void OnInsert(const K&, uint64_t, double) override {}
-  void OnAccess(const K&) override {}
-  void OnRemove(const K&) override {}
-  bool ChooseVictim(K*) const override { return false; }
-  CachePolicy kind() const override { return CachePolicy::kUnbounded; }
-};
-
-/// Least-recently-used, tracked with a logical access clock.
-template <typename K>
-class LruPolicy : public KeyedEvictionPolicy<K> {
- public:
-  void OnInsert(const K& key, uint64_t, double) override { Stamp(key); }
-  void OnAccess(const K& key) override { Stamp(key); }
-
-  void OnRemove(const K& key) override {
-    auto it = stamp_of_.find(key);
-    if (it == stamp_of_.end()) return;
-    by_stamp_.erase(it->second);
-    stamp_of_.erase(it);
-  }
-
-  bool ChooseVictim(K* out) const override {
-    if (by_stamp_.empty()) return false;
-    *out = by_stamp_.begin()->second;
-    return true;
-  }
-
-  CachePolicy kind() const override { return CachePolicy::kLru; }
-
- private:
-  void Stamp(const K& key) {
-    auto it = stamp_of_.find(key);
-    if (it != stamp_of_.end()) by_stamp_.erase(it->second);
-    uint64_t stamp = ++clock_;
-    stamp_of_[key] = stamp;
-    by_stamp_[stamp] = key;
-  }
-
-  uint64_t clock_ = 0;
-  std::unordered_map<K, uint64_t> stamp_of_;
-  std::map<uint64_t, K> by_stamp_;  // oldest stamp first
-};
-
-/// Least-frequently-used; ties broken towards the least recently used.
-template <typename K>
-class LfuPolicy : public KeyedEvictionPolicy<K> {
- public:
-  void OnInsert(const K& key, uint64_t, double) override { Bump(key); }
-  void OnAccess(const K& key) override { Bump(key); }
-
-  void OnRemove(const K& key) override {
-    auto it = state_of_.find(key);
-    if (it == state_of_.end()) return;
-    ranked_.erase({it->second.freq, it->second.stamp, key});
-    state_of_.erase(it);
-  }
-
-  bool ChooseVictim(K* out) const override {
-    if (ranked_.empty()) return false;
-    *out = std::get<2>(*ranked_.begin());
-    return true;
-  }
-
-  CachePolicy kind() const override { return CachePolicy::kLfu; }
-
- private:
-  struct State {
-    uint64_t freq = 0;
-    uint64_t stamp = 0;
-  };
-
-  void Bump(const K& key) {
-    State& s = state_of_[key];
-    if (s.freq > 0) ranked_.erase({s.freq, s.stamp, key});
-    ++s.freq;
-    s.stamp = ++clock_;
-    ranked_.insert({s.freq, s.stamp, key});
-  }
-
-  uint64_t clock_ = 0;
-  std::unordered_map<K, State> state_of_;
-  std::set<std::tuple<uint64_t, uint64_t, K>> ranked_;
-};
-
-/// Greedy-Dual-Size-Frequency (Cherkasova 1998): priority
-///   Pr(f) = L + cost(f) * freq(f) / size(f)
-/// where L is an inflation clock set to the priority of the last victim.
-/// Evicts low-frequency, large, cheaply-refetched objects first; aging
-/// via L keeps formerly popular objects from squatting forever. The cost
-/// term is 1 under `cache_cost=uniform` (plain GDSF) and the measured
-/// provider->client latency under `cache_cost=distance`.
-template <typename K>
-class GdsfPolicy : public KeyedEvictionPolicy<K> {
- public:
-  void OnInsert(const K& key, uint64_t size_bytes, double cost) override {
-    State& s = state_of_[key];
-    s.freq = 1;
-    s.size = size_bytes > 0 ? size_bytes : 1;
-    s.cost = cost > 0 ? cost : 1.0;
-    Rank(key, s);
-  }
-
-  void OnAccess(const K& key) override {
-    auto it = state_of_.find(key);
-    if (it == state_of_.end()) return;
-    ranked_.erase({it->second.priority, key});
-    ++it->second.freq;
-    Rank(key, it->second);
-  }
-
-  void OnResize(const K& key, uint64_t size_bytes) override {
-    auto it = state_of_.find(key);
-    if (it == state_of_.end()) return;
-    ranked_.erase({it->second.priority, key});
-    it->second.size = size_bytes > 0 ? size_bytes : 1;
-    Rank(key, it->second);
-  }
-
-  void OnRemove(const K& key) override {
-    auto it = state_of_.find(key);
-    if (it == state_of_.end()) return;
-    // The inflation update belongs to *eviction*; explicit erases of a
-    // mid-priority object must not raise L above surviving entries, so L
-    // only advances when the removed object is the current minimum.
-    if (!ranked_.empty() && ranked_.begin()->second == key) {
-      inflation_ = it->second.priority;
-    }
-    ranked_.erase({it->second.priority, key});
-    state_of_.erase(it);
-  }
-
-  bool ChooseVictim(K* out) const override {
-    if (ranked_.empty()) return false;
-    *out = ranked_.begin()->second;
-    return true;
-  }
-
-  CachePolicy kind() const override { return CachePolicy::kGdsf; }
-
- private:
-  struct State {
-    uint64_t freq = 0;
-    uint64_t size = 1;
-    double cost = 1.0;
-    double priority = 0;
-  };
-
-  void Rank(const K& key, State& s) {
-    s.priority = inflation_ + s.cost * static_cast<double>(s.freq) /
-                                  static_cast<double>(s.size);
-    ranked_.insert({s.priority, key});
-  }
-
-  double inflation_ = 0;
-  std::unordered_map<K, State> state_of_;
-  std::set<std::pair<double, K>> ranked_;  // lowest priority first
-};
-
-}  // namespace cache_detail
-
-template <typename K>
-std::unique_ptr<KeyedEvictionPolicy<K>> MakeKeyedEvictionPolicy(
-    CachePolicy policy) {
-  switch (policy) {
-    case CachePolicy::kUnbounded:
-      return std::make_unique<cache_detail::UnboundedPolicy<K>>();
-    case CachePolicy::kLru:
-      return std::make_unique<cache_detail::LruPolicy<K>>();
-    case CachePolicy::kLfu:
-      return std::make_unique<cache_detail::LfuPolicy<K>>();
-    case CachePolicy::kGdsf:
-      return std::make_unique<cache_detail::GdsfPolicy<K>>();
-  }
-  assert(false && "unhandled cache policy");
-  return std::make_unique<cache_detail::UnboundedPolicy<K>>();
-}
 
 /// Lifetime counters of one KeyedStore.
 struct CacheStats {
@@ -269,7 +48,22 @@ struct CacheStats {
 };
 
 /// The keyed eviction engine: residency, byte accounting, admission
-/// control and capacity enforcement around a pluggable policy.
+/// control, capacity enforcement and victim choice.
+///
+/// Victim choice: the resident with the lowest rank under the policy's
+/// strict total order goes first.
+///  - LRU:  the stamp of the last insert or touch (a logical clock).
+///  - LFU:  (frequency, stamp): least used, ties towards the oldest.
+///  - GDSF: (priority, key), Greedy-Dual-Size-Frequency (Cherkasova
+///    1998) with priority Pr(f) = L + cost(f) * freq(f) / size(f), where
+///    the inflation clock L is set to the priority of the last victim.
+///    Evicts low-frequency, large, cheaply-refetched objects first;
+///    aging via L keeps formerly popular objects from squatting forever.
+///    The cost term is 1 under `cache_cost=uniform` (plain GDSF) and the
+///    measured provider->client latency under `cache_cost=distance`.
+///  - Unbounded names no victim: on a full bounded store the newcomer is
+///    turned away ("first come, stay forever"); with capacity 0 it
+///    reproduces the paper exactly.
 template <typename K>
 class KeyedStore {
  public:
@@ -278,17 +72,12 @@ class KeyedStore {
   /// capacity check still applies after admission.)
   using AdmissionHook = std::function<bool(const K& key, uint64_t size_bytes)>;
 
-  /// capacity_bytes == 0 means unlimited storage. The Unbounded policy
-  /// is stateless (no OnInsert/OnAccess bookkeeping, never a victim), so
-  /// it is represented by a null policy_ — one fewer heap chunk per peer
-  /// store, which the 100k-peer runs feel.
+  /// capacity_bytes == 0 means unlimited storage. Only a bounded store
+  /// with a ranking policy (LRU/LFU/GDSF) keeps ranks: an unlimited store
+  /// never evicts, so it allocates no rank array.
   explicit KeyedStore(CachePolicy policy = CachePolicy::kUnbounded,
                       uint64_t capacity_bytes = 0)
-      : policy_kind_(policy),
-        capacity_bytes_(capacity_bytes),
-        policy_(policy == CachePolicy::kUnbounded
-                    ? nullptr
-                    : MakeKeyedEvictionPolicy<K>(policy)) {}
+      : policy_(policy), capacity_bytes_(capacity_bytes) {}
 
   KeyedStore(KeyedStore&&) = default;
   KeyedStore& operator=(KeyedStore&&) = default;
@@ -301,12 +90,11 @@ class KeyedStore {
   /// read the same as with the old `std::set` state.
   size_t count(const K& key) const { return Contains(key) ? 1 : 0; }
 
-  /// Records an access to a resident key (policy recency/frequency
-  /// bookkeeping). No-op when the key is absent.
+  /// Records an access to a resident key (recency/frequency rank). No-op
+  /// when the key is absent.
   void Touch(const K& key) {
-    if (IndexOf(key) == kNpos) return;
-    ++stats_.hits;
-    if (policy_ != nullptr) policy_->OnAccess(key);
+    size_t i = IndexOf(key);
+    if (i != kNpos) TouchAt(i);
   }
 
   /// Makes `key` resident with the given size. Returns true if the key
@@ -320,8 +108,9 @@ class KeyedStore {
   /// `cost` feeds the GDSF priority (1 = plain GDSF).
   bool Insert(const K& key, uint64_t size_bytes,
               std::vector<K>* evicted = nullptr, double cost = 1.0) {
-    if (IndexOf(key) != kNpos) {
-      Touch(key);
+    size_t i = IndexOf(key);
+    if (i != kNpos) {
+      TouchAt(i);
       return true;
     }
     if (bounded()) {
@@ -334,20 +123,26 @@ class KeyedStore {
         return false;
       }
       while (bytes_used_ + size_bytes + reserved_bytes_ > capacity_bytes_) {
-        K victim;
-        if (policy_ == nullptr || !policy_->ChooseVictim(&victim)) {
+        size_t victim = VictimIndex();
+        if (victim == kNpos) {
           // Unbounded on a full bounded store: nothing may leave, so the
           // newcomer is turned away instead.
           ++stats_.admission_rejects;
           return false;
         }
-        Evict(victim, evicted);
+        Evict(victim, evicted, /*is_minimum=*/true);
       }
     }
-    InsertSorted(key, size_bytes);
+    i = InsertSorted(key, size_bytes);
     bytes_used_ += size_bytes;
     ++stats_.insertions;
-    if (policy_ != nullptr) policy_->OnInsert(key, size_bytes, cost);
+    if (ranked()) {
+      Rank& r = ranks_[i];
+      r.stamp = ++clock_;
+      r.freq = 1;
+      r.cost = cost > 0 ? cost : 1.0;
+      if (policy_ == CachePolicy::kGdsf) r.priority = GdsfPriority(i);
+    }
     return true;
   }
 
@@ -363,20 +158,25 @@ class KeyedStore {
     if (i == kNpos) return false;
     bytes_used_ = bytes_used_ - sizes_[i] + new_size;
     sizes_[i] = SizeRep(new_size);
-    if (policy_ != nullptr) policy_->OnResize(key, new_size);
+    if (ranked() && policy_ == CachePolicy::kGdsf) {
+      ranks_[i].priority = GdsfPriority(i);
+    }
     if (!bounded()) return true;
     if (new_size + reserved_bytes_ > capacity_bytes_) {
       // Hopeless alone (mirrors Insert's oversized-object rejection):
       // only the grown key leaves — draining every other resident first
       // would wipe the store for an entry that can never fit.
-      Evict(key, evicted);
+      Evict(i, evicted, IsMinimum(i));
       return false;
     }
     while (bytes_used_ + reserved_bytes_ > capacity_bytes_) {
-      K victim;
-      if (policy_ == nullptr || !policy_->ChooseVictim(&victim)) victim = key;
-      Evict(victim, evicted);
-      if (victim == key) return false;
+      size_t victim = VictimIndex();
+      if (victim == kNpos || victim == i) {
+        Evict(i, evicted, victim == i);
+        return false;
+      }
+      Evict(victim, evicted, /*is_minimum=*/true);
+      if (victim < i) --i;
     }
     return true;
   }
@@ -386,8 +186,7 @@ class KeyedStore {
     size_t i = IndexOf(key);
     if (i == kNpos) return false;
     bytes_used_ -= sizes_[i];
-    if (policy_ != nullptr) policy_->OnRemove(key);
-    EraseAt(i);
+    RemoveAt(i, IsMinimum(i));
     return true;
   }
 
@@ -412,12 +211,12 @@ class KeyedStore {
     reserved_bytes_ = bytes;
     if (!bounded()) return;
     while (bytes_used_ + reserved_bytes_ > capacity_bytes_) {
-      K victim;
-      if (policy_ == nullptr || !policy_->ChooseVictim(&victim)) break;
-      Evict(victim, evicted);
+      size_t victim = VictimIndex();
+      if (victim == kNpos) break;
+      Evict(victim, evicted, /*is_minimum=*/true);
     }
   }
-  CachePolicy policy() const { return policy_kind_; }
+  CachePolicy policy() const { return policy_; }
   const CacheStats& stats() const { return stats_; }
 
   /// Resident keys in ascending order (matches the iteration order of
@@ -550,39 +349,125 @@ class KeyedStore {
     return static_cast<size_t>(it - keys_.begin());
   }
 
-  void InsertSorted(const K& key, uint64_t size_bytes) {
+  /// One resident's eviction rank (see the class comment for each
+  /// policy's order). Fields a policy does not order by stay unused.
+  struct Rank {
+    uint64_t stamp = 0;   // LRU, LFU: clock_ at the last insert/touch
+    uint64_t freq = 0;    // LFU, GDSF: inserts + touches while resident
+    double cost = 1.0;    // GDSF: retrieval cost
+    double priority = 0;  // GDSF: inflation_ + cost * freq / size
+  };
+
+  /// True when this store keeps ranks_: bounded, with a policy that can
+  /// name victims.
+  bool ranked() const {
+    return bounded() && policy_ != CachePolicy::kUnbounded;
+  }
+
+  /// GDSF priority of resident i at the current inflation clock (the
+  /// same doubles, in the same order, as Cherkasova's formula).
+  double GdsfPriority(size_t i) const {
+    const Rank& r = ranks_[i];
+    const uint32_t size = sizes_[i] > 0 ? sizes_[i] : 1;
+    return inflation_ +
+           r.cost * static_cast<double>(r.freq) / static_cast<double>(size);
+  }
+
+  void TouchAt(size_t i) {
+    ++stats_.hits;
+    if (!ranked()) return;
+    Rank& r = ranks_[i];
+    ++r.freq;
+    r.stamp = ++clock_;
+    if (policy_ == CachePolicy::kGdsf) r.priority = GdsfPriority(i);
+  }
+
+  /// Index of the lowest-ranked resident, kNpos when the store keeps no
+  /// ranks (Unbounded policy or unlimited capacity) or is empty. Every
+  /// order is strict, and GDSF's key tie-break falls out of scanning in
+  /// ascending key order with a strict `<`.
+  size_t VictimIndex() const {
+    switch (policy_) {
+      case CachePolicy::kLru:
+        return ArgMin([](const Rank& a, const Rank& b) {
+          return a.stamp < b.stamp;
+        });
+      case CachePolicy::kLfu:
+        return ArgMin([](const Rank& a, const Rank& b) {
+          return a.freq != b.freq ? a.freq < b.freq : a.stamp < b.stamp;
+        });
+      case CachePolicy::kGdsf:
+        return ArgMin([](const Rank& a, const Rank& b) {
+          return a.priority < b.priority;
+        });
+      case CachePolicy::kUnbounded:
+        break;
+    }
+    return kNpos;
+  }
+
+  template <typename Less>
+  size_t ArgMin(Less less) const {
+    if (ranks_.empty()) return kNpos;
+    size_t best = 0;
+    for (size_t i = 1; i < ranks_.size(); ++i) {
+      if (less(ranks_[i], ranks_[best])) best = i;
+    }
+    return best;
+  }
+
+  /// Whether resident i is the current victim. Only GDSF's inflation
+  /// clock cares, so the scan is skipped for every other policy.
+  bool IsMinimum(size_t i) const {
+    return policy_ == CachePolicy::kGdsf && VictimIndex() == i;
+  }
+
+  /// Inserts a non-resident key at its sorted position and returns that
+  /// position; the rank slot (if any) is left for the caller to fill.
+  size_t InsertSorted(const K& key, uint64_t size_bytes) {
     auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-    size_t i = static_cast<size_t>(it - keys_.begin());
+    const auto d = it - keys_.begin();
     keys_.insert(it, key);
-    sizes_.insert(sizes_.begin() + static_cast<std::ptrdiff_t>(i),
-                  SizeRep(size_bytes));
+    sizes_.insert(sizes_.begin() + d, SizeRep(size_bytes));
+    if (ranked()) ranks_.insert(ranks_.begin() + d, Rank{});
+    return static_cast<size_t>(d);
   }
 
-  void EraseAt(size_t i) {
-    keys_.erase(keys_.begin() + static_cast<std::ptrdiff_t>(i));
-    sizes_.erase(sizes_.begin() + static_cast<std::ptrdiff_t>(i));
+  /// Drops resident i from every parallel array. GDSF's inflation clock
+  /// advances to the removed priority only when i held the minimum
+  /// (`is_minimum`): aging belongs to *eviction*, and an explicit erase
+  /// of a mid-priority entry must not raise L above surviving entries.
+  void RemoveAt(size_t i, bool is_minimum) {
+    const auto d = static_cast<std::ptrdiff_t>(i);
+    if (ranked()) {
+      if (is_minimum && policy_ == CachePolicy::kGdsf) {
+        inflation_ = ranks_[i].priority;
+      }
+      ranks_.erase(ranks_.begin() + d);
+    }
+    keys_.erase(keys_.begin() + d);
+    sizes_.erase(sizes_.begin() + d);
   }
 
-  void Evict(const K& victim, std::vector<K>* evicted) {
-    size_t i = IndexOf(victim);
-    assert(i != kNpos && "evicting a non-resident key");
+  void Evict(size_t i, std::vector<K>* evicted, bool is_minimum) {
+    const K victim = keys_[i];
     bytes_used_ -= sizes_[i];
     ++stats_.evictions;
     stats_.bytes_evicted += sizes_[i];
-    if (policy_ != nullptr) policy_->OnRemove(victim);
-    EraseAt(i);
+    RemoveAt(i, is_minimum);
     if (evicted != nullptr) evicted->push_back(victim);
   }
 
-  CachePolicy policy_kind_;
+  CachePolicy policy_;
   uint64_t capacity_bytes_;
-  /// Null for the stateless Unbounded policy (see constructor).
-  std::unique_ptr<KeyedEvictionPolicy<K>> policy_;
-  // Flat sorted storage: keys_ ascending, sizes_ parallel (key ->
-  // size_bytes). Replaces a std::map whose ~48-byte node overhead
-  // dominated per-peer RSS at scale.
+  // Flat sorted storage: keys_ ascending; sizes_ and ranks_ parallel
+  // (key -> size_bytes, key -> eviction rank). ranks_ stays empty unless
+  // ranked().
   std::vector<K> keys_;
   std::vector<uint32_t> sizes_;
+  std::vector<Rank> ranks_;
+  uint64_t clock_ = 0;      // LRU/LFU logical access clock
+  double inflation_ = 0;    // GDSF inflation clock L
   uint64_t bytes_used_ = 0;
   uint64_t reserved_bytes_ = 0;  // capacity carved out (SetReservedBytes)
   CacheStats stats_;

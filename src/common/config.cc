@@ -1,6 +1,7 @@
 #include "common/config.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <type_traits>
@@ -29,10 +30,12 @@ bool FitsIn(int64_t v) {
   return static_cast<int64_t>(static_cast<T>(v)) == v;
 }
 
+// Finite doubles only: "nan" and "inf" parse under strtod but name no
+// rate, probability or weight the simulator can run with.
 bool ParseDouble(const std::string& v, double* out) {
   char* end = nullptr;
   double x = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') return false;
+  if (end == v.c_str() || *end != '\0' || !std::isfinite(x)) return false;
   *out = x;
   return true;
 }
@@ -107,17 +110,31 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   bool b;
   SimTime t;
 
-#define INT_KEY(name, field)                                             \
+  // Each key's domain is checked here, so a bad value fails fast and
+  // names its key instead of aborting or running an empty experiment:
+  // counts are >= 0 and the sizes the world is built from >= 1 (`lo`),
+  // doubles are finite and >= 0, probabilities and thresholds lie in
+  // [0, 1], times are >= `lo` ms.
+#define INT_KEY(name, field, lo)                                         \
   if (key == name) {                                                     \
     if (!ParseInt(value, &i) || !FitsIn<decltype(field)>(i))             \
       return Status::InvalidArgument("bad int for " + key);              \
+    if (i < (lo))                                                        \
+      return Status::InvalidArgument(key + " wants an integer >= " #lo); \
     field = static_cast<decltype(field)>(i);                             \
     return Status::Ok();                                                 \
   }
 #define DOUBLE_KEY(name, field)                                          \
   if (key == name) {                                                     \
-    if (!ParseDouble(value, &d))                                         \
-      return Status::InvalidArgument("bad double for " + key);           \
+    if (!ParseDouble(value, &d) || d < 0)                                \
+      return Status::InvalidArgument(key + " wants a finite number >= 0"); \
+    field = d;                                                           \
+    return Status::Ok();                                                 \
+  }
+#define FRACTION_KEY(name, field)                                        \
+  if (key == name) {                                                     \
+    if (!ParseDouble(value, &d) || d < 0 || d > 1)                       \
+      return Status::InvalidArgument(key + " wants a value in [0, 1]");  \
     field = d;                                                           \
     return Status::Ok();                                                 \
   }
@@ -128,15 +145,17 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     field = b;                                                           \
     return Status::Ok();                                                 \
   }
-#define TIME_KEY(name, field)                                            \
+#define TIME_KEY(name, field, lo)                                        \
   if (key == name) {                                                     \
     if (!ParseTime(value, &t))                                           \
       return Status::InvalidArgument("bad time for " + key);             \
+    if (t < (lo))                                                        \
+      return Status::InvalidArgument(key + " wants a time >= " #lo "ms"); \
     field = t;                                                           \
     return Status::Ok();                                                 \
   }
 
-  INT_KEY("seed", seed)
+  INT_KEY("seed", seed, 0)
   if (key == "system") {
     // Validated against the SystemRegistry when the Experiment is built
     // (the registry lives above this layer and is user-extensible).
@@ -164,17 +183,17 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     shard_executor = value;
     return Status::Ok();
   }
-  INT_KEY("num_topology_nodes", num_topology_nodes)
-  INT_KEY("num_localities", num_localities)
-  TIME_KEY("min_intra_latency", min_intra_latency)
-  TIME_KEY("max_intra_latency", max_intra_latency)
-  TIME_KEY("min_inter_latency", min_inter_latency)
-  TIME_KEY("max_inter_latency", max_inter_latency)
-  INT_KEY("num_websites", num_websites)
-  INT_KEY("num_active_websites", num_active_websites)
-  INT_KEY("num_objects_per_website", num_objects_per_website)
+  INT_KEY("num_topology_nodes", num_topology_nodes, 1)
+  INT_KEY("num_localities", num_localities, 1)
+  TIME_KEY("min_intra_latency", min_intra_latency, 0)
+  TIME_KEY("max_intra_latency", max_intra_latency, 0)
+  TIME_KEY("min_inter_latency", min_inter_latency, 0)
+  TIME_KEY("max_inter_latency", max_inter_latency, 0)
+  INT_KEY("num_websites", num_websites, 1)
+  INT_KEY("num_active_websites", num_active_websites, 1)
+  INT_KEY("num_objects_per_website", num_objects_per_website, 1)
   DOUBLE_KEY("zipf_alpha", zipf_alpha)
-  INT_KEY("object_size_bits", object_size_bits)
+  INT_KEY("object_size_bits", object_size_bits, 0)
   if (key == "object_size_distribution") {
     if (value != "fixed" && value != "pareto") {
       return UnknownEnumValue(key, value, {"fixed", "pareto"});
@@ -182,8 +201,8 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     object_size_distribution = value;
     return Status::Ok();
   }
-  INT_KEY("object_size_min_bytes", object_size_min_bytes)
-  INT_KEY("object_size_max_bytes", object_size_max_bytes)
+  INT_KEY("object_size_min_bytes", object_size_min_bytes, 0)
+  INT_KEY("object_size_max_bytes", object_size_max_bytes, 0)
   DOUBLE_KEY("object_size_pareto_alpha", object_size_pareto_alpha)
   if (key == "cache_policy") {
     Result<CachePolicy> parsed = ParseCachePolicy(value);
@@ -191,7 +210,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     cache_policy = value;
     return Status::Ok();
   }
-  INT_KEY("cache_capacity_bytes", cache_capacity_bytes)
+  INT_KEY("cache_capacity_bytes", cache_capacity_bytes, 0)
   if (key == "cache_cost") {
     if (value != "uniform" && value != "distance") {
       return UnknownEnumValue(key, value, {"uniform", "distance"});
@@ -226,13 +245,13 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     directory_index_capacity_bytes = static_cast<uint64_t>(i);
     return Status::Ok();
   }
-  INT_KEY("max_content_overlay_size", max_content_overlay_size)
-  DOUBLE_KEY("new_client_probability", new_client_probability)
+  INT_KEY("max_content_overlay_size", max_content_overlay_size, 1)
+  FRACTION_KEY("new_client_probability", new_client_probability)
   DOUBLE_KEY("queries_per_second", queries_per_second)
-  TIME_KEY("duration", duration)
-  TIME_KEY("gossip_period", gossip_period)
-  INT_KEY("gossip_length", gossip_length)
-  INT_KEY("view_size", view_size)
+  TIME_KEY("duration", duration, 0)
+  TIME_KEY("gossip_period", gossip_period, 0)
+  INT_KEY("gossip_length", gossip_length, 0)
+  INT_KEY("view_size", view_size, 0)
   if (key == "gossip_protocol") {
     if (value != "flower" && value != "hyparview") {
       return UnknownEnumValue(key, value, {"flower", "hyparview"});
@@ -240,35 +259,35 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     gossip_protocol = value;
     return Status::Ok();
   }
-  INT_KEY("hyparview_active_size", hyparview_active_size)
-  INT_KEY("hyparview_passive_size", hyparview_passive_size)
-  TIME_KEY("hyparview_shuffle_period", hyparview_shuffle_period)
-  TIME_KEY("plumtree_ihave_timeout", plumtree_ihave_timeout)
-  INT_KEY("plumtree_summary_capacity", plumtree_summary_capacity)
-  DOUBLE_KEY("plumtree_broadcast_threshold", plumtree_broadcast_threshold)
-  DOUBLE_KEY("push_threshold", push_threshold)
-  TIME_KEY("keepalive_period", keepalive_period)
-  INT_KEY("dead_age_limit", dead_age_limit)
-  INT_KEY("view_age_limit", view_age_limit)
-  INT_KEY("summary_bits_per_object", summary_bits_per_object)
-  INT_KEY("summary_num_hashes", summary_num_hashes)
-  DOUBLE_KEY("directory_summary_threshold", directory_summary_threshold)
-  INT_KEY("directory_summary_neighbors", directory_summary_neighbors)
-  INT_KEY("chord_id_bits", chord_id_bits)
-  INT_KEY("locality_id_bits", locality_id_bits)
-  INT_KEY("scaleup_extra_bits", scaleup_extra_bits)
-  INT_KEY("scaleup_instances", scaleup_instances)
-  INT_KEY("chord_successor_list", chord_successor_list)
-  TIME_KEY("chord_stabilize_period", chord_stabilize_period)
-  TIME_KEY("chord_fix_fingers_period", chord_fix_fingers_period)
+  INT_KEY("hyparview_active_size", hyparview_active_size, 0)
+  INT_KEY("hyparview_passive_size", hyparview_passive_size, 0)
+  TIME_KEY("hyparview_shuffle_period", hyparview_shuffle_period, 0)
+  TIME_KEY("plumtree_ihave_timeout", plumtree_ihave_timeout, 0)
+  INT_KEY("plumtree_summary_capacity", plumtree_summary_capacity, 0)
+  FRACTION_KEY("plumtree_broadcast_threshold", plumtree_broadcast_threshold)
+  FRACTION_KEY("push_threshold", push_threshold)
+  TIME_KEY("keepalive_period", keepalive_period, 0)
+  INT_KEY("dead_age_limit", dead_age_limit, 0)
+  INT_KEY("view_age_limit", view_age_limit, 0)
+  INT_KEY("summary_bits_per_object", summary_bits_per_object, 1)
+  INT_KEY("summary_num_hashes", summary_num_hashes, 0)
+  FRACTION_KEY("directory_summary_threshold", directory_summary_threshold)
+  INT_KEY("directory_summary_neighbors", directory_summary_neighbors, 0)
+  INT_KEY("chord_id_bits", chord_id_bits, 0)
+  INT_KEY("locality_id_bits", locality_id_bits, 0)
+  INT_KEY("scaleup_extra_bits", scaleup_extra_bits, 0)
+  INT_KEY("scaleup_instances", scaleup_instances, 0)
+  INT_KEY("chord_successor_list", chord_successor_list, 0)
+  TIME_KEY("chord_stabilize_period", chord_stabilize_period, 0)
+  TIME_KEY("chord_fix_fingers_period", chord_fix_fingers_period, 0)
   BOOL_KEY("chord_oracle_maintenance", chord_oracle_maintenance)
   BOOL_KEY("churn_enabled", churn_enabled)
-  TIME_KEY("churn_mean_session", churn_mean_session)
-  TIME_KEY("churn_mean_downtime", churn_mean_downtime)
-  DOUBLE_KEY("churn_fail_probability", churn_fail_probability)
+  TIME_KEY("churn_mean_session", churn_mean_session, 0)
+  TIME_KEY("churn_mean_downtime", churn_mean_downtime, 0)
+  FRACTION_KEY("churn_fail_probability", churn_fail_probability)
   BOOL_KEY("active_replication", active_replication)
-  INT_KEY("replication_top_objects", replication_top_objects)
-  TIME_KEY("replication_period", replication_period)
+  INT_KEY("replication_top_objects", replication_top_objects, 0)
+  TIME_KEY("replication_period", replication_period, 0)
   if (key == "fault_loss" || key == "fault_duplicate") {
     // Validate the spec here so a sweep typo dies at parse time, not
     // mid-run; the FaultPlan re-parses it when the injector is built.
@@ -341,7 +360,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
     replication_admission_headroom = d;
     return Status::Ok();
   }
-  TIME_KEY("metrics_window", metrics_window)
+  TIME_KEY("metrics_window", metrics_window, 1)
   if (key == "metrics_max_points") {
     if (!ParseInt(value, &i) || i < 0) {
       return Status::InvalidArgument(
@@ -353,6 +372,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
 
 #undef INT_KEY
 #undef DOUBLE_KEY
+#undef FRACTION_KEY
 #undef BOOL_KEY
 #undef TIME_KEY
 

@@ -193,7 +193,9 @@ void DirectoryPeer::MaybeAdmitClient(const FlowerQueryMsg& query) {
 
 void DirectoryPeer::ProcessQuery(std::unique_ptr<FlowerQueryMsg> query) {
   ++queries_processed_;
-  ++request_counts_[query->object];
+  // Only ReplicationTick reads the counts, and it runs only under
+  // active_replication: counting otherwise is a tree walk per query.
+  if (ctx_->config->active_replication) ++request_counts_[query->object];
   // Redirect budget: under churn, stale claims can chain (dead holders,
   // reborn nodes, inherited summaries). However the chain is formed, past
   // this budget the origin server resolves the query.

@@ -161,7 +161,8 @@ class DirectoryPeer : public DRingNode, public KbrApp {
   View view_;  // inherited view; answers first queries during takeover
   std::map<ObjectId, std::vector<SimTime>> pending_own_;  // own requests
 
-  // Popularity tracking for the replication extension.
+  // Popularity tracking for the replication extension (kept only under
+  // active_replication).
   std::map<ObjectId, uint64_t> request_counts_;
 
   uint64_t queries_processed_ = 0;

@@ -1,10 +1,23 @@
 // Unit tests for the bounded peer storage (src/cache/): byte accounting,
-// per-policy victim choice, admission control, and config plumbing.
+// per-policy victim choice, admission control, and config plumbing, plus
+// a differential test of KeyedStore against node-based reference
+// policies.
 #include "cache/content_store.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "common/config.h"
+#include "common/rng.h"
 
 namespace flower {
 namespace {
@@ -325,6 +338,344 @@ TEST(ContentStoreTest, MultiEvictionToFitOneLargeObject) {
   EXPECT_EQ(evicted, expected);
   EXPECT_EQ(store.bytes_used(), 80u);
   EXPECT_TRUE(store.Contains(4));
+}
+
+// --- Differential test: KeyedStore vs a node-based reference model ---------
+//
+// The reference keeps residency in a std::map and each policy's ranking in
+// its own hash map plus ordered tree: the straightforward two-copy
+// formulation KeyedStore's flat rank array must agree with, victim for
+// victim.
+
+namespace reference {
+
+template <typename K>
+class Policy {
+ public:
+  virtual ~Policy() = default;
+  virtual void OnInsert(const K& key, uint64_t size_bytes, double cost) = 0;
+  virtual void OnAccess(const K& key) = 0;
+  virtual void OnResize(const K&, uint64_t) {}
+  virtual void OnRemove(const K& key) = 0;
+  virtual bool ChooseVictim(K* out) const = 0;
+};
+
+template <typename K>
+class Lru : public Policy<K> {
+ public:
+  void OnInsert(const K& key, uint64_t, double) override { Stamp(key); }
+  void OnAccess(const K& key) override { Stamp(key); }
+  void OnRemove(const K& key) override {
+    auto it = stamp_of_.find(key);
+    if (it == stamp_of_.end()) return;
+    by_stamp_.erase(it->second);
+    stamp_of_.erase(it);
+  }
+  bool ChooseVictim(K* out) const override {
+    if (by_stamp_.empty()) return false;
+    *out = by_stamp_.begin()->second;
+    return true;
+  }
+
+ private:
+  void Stamp(const K& key) {
+    auto it = stamp_of_.find(key);
+    if (it != stamp_of_.end()) by_stamp_.erase(it->second);
+    uint64_t stamp = ++clock_;
+    stamp_of_[key] = stamp;
+    by_stamp_[stamp] = key;
+  }
+
+  uint64_t clock_ = 0;
+  std::unordered_map<K, uint64_t> stamp_of_;
+  std::map<uint64_t, K> by_stamp_;
+};
+
+template <typename K>
+class Lfu : public Policy<K> {
+ public:
+  void OnInsert(const K& key, uint64_t, double) override { Bump(key); }
+  void OnAccess(const K& key) override { Bump(key); }
+  void OnRemove(const K& key) override {
+    auto it = state_of_.find(key);
+    if (it == state_of_.end()) return;
+    ranked_.erase({it->second.freq, it->second.stamp, key});
+    state_of_.erase(it);
+  }
+  bool ChooseVictim(K* out) const override {
+    if (ranked_.empty()) return false;
+    *out = std::get<2>(*ranked_.begin());
+    return true;
+  }
+
+ private:
+  struct State {
+    uint64_t freq = 0;
+    uint64_t stamp = 0;
+  };
+  void Bump(const K& key) {
+    State& s = state_of_[key];
+    if (s.freq > 0) ranked_.erase({s.freq, s.stamp, key});
+    ++s.freq;
+    s.stamp = ++clock_;
+    ranked_.insert({s.freq, s.stamp, key});
+  }
+
+  uint64_t clock_ = 0;
+  std::unordered_map<K, State> state_of_;
+  std::set<std::tuple<uint64_t, uint64_t, K>> ranked_;
+};
+
+template <typename K>
+class Gdsf : public Policy<K> {
+ public:
+  void OnInsert(const K& key, uint64_t size_bytes, double cost) override {
+    State& s = state_of_[key];
+    s.freq = 1;
+    s.size = size_bytes > 0 ? size_bytes : 1;
+    s.cost = cost > 0 ? cost : 1.0;
+    Rank(key, s);
+  }
+  void OnAccess(const K& key) override {
+    auto it = state_of_.find(key);
+    if (it == state_of_.end()) return;
+    ranked_.erase({it->second.priority, key});
+    ++it->second.freq;
+    Rank(key, it->second);
+  }
+  void OnResize(const K& key, uint64_t size_bytes) override {
+    auto it = state_of_.find(key);
+    if (it == state_of_.end()) return;
+    ranked_.erase({it->second.priority, key});
+    it->second.size = size_bytes > 0 ? size_bytes : 1;
+    Rank(key, it->second);
+  }
+  void OnRemove(const K& key) override {
+    auto it = state_of_.find(key);
+    if (it == state_of_.end()) return;
+    // L advances only when the removed key is the current minimum.
+    if (!ranked_.empty() && ranked_.begin()->second == key) {
+      inflation_ = it->second.priority;
+    }
+    ranked_.erase({it->second.priority, key});
+    state_of_.erase(it);
+  }
+  bool ChooseVictim(K* out) const override {
+    if (ranked_.empty()) return false;
+    *out = ranked_.begin()->second;
+    return true;
+  }
+
+ private:
+  struct State {
+    uint64_t freq = 0;
+    uint64_t size = 1;
+    double cost = 1.0;
+    double priority = 0;
+  };
+  void Rank(const K& key, State& s) {
+    s.priority = inflation_ + s.cost * static_cast<double>(s.freq) /
+                                  static_cast<double>(s.size);
+    ranked_.insert({s.priority, key});
+  }
+
+  double inflation_ = 0;
+  std::unordered_map<K, State> state_of_;
+  std::set<std::pair<double, K>> ranked_;
+};
+
+/// Residency, accounting and capacity rules of KeyedStore over a
+/// std::map, delegating victim choice to a Policy (null = Unbounded).
+template <typename K>
+class Store {
+ public:
+  Store(CachePolicy policy, uint64_t capacity) : capacity_(capacity) {
+    switch (policy) {
+      case CachePolicy::kLru: policy_ = std::make_unique<Lru<K>>(); break;
+      case CachePolicy::kLfu: policy_ = std::make_unique<Lfu<K>>(); break;
+      case CachePolicy::kGdsf: policy_ = std::make_unique<Gdsf<K>>(); break;
+      case CachePolicy::kUnbounded: break;
+    }
+  }
+
+  void Touch(const K& key) {
+    if (sizes_.count(key) == 0) return;
+    ++stats_.hits;
+    if (policy_) policy_->OnAccess(key);
+  }
+
+  bool Insert(const K& key, uint64_t size, std::vector<K>* evicted,
+              double cost) {
+    if (sizes_.count(key) != 0) {
+      Touch(key);
+      return true;
+    }
+    if (bounded()) {
+      if (size + reserved_ > capacity_) {
+        ++stats_.admission_rejects;
+        return false;
+      }
+      while (bytes_used_ + size + reserved_ > capacity_) {
+        K victim;
+        if (!policy_ || !policy_->ChooseVictim(&victim)) {
+          ++stats_.admission_rejects;
+          return false;
+        }
+        Evict(victim, evicted);
+      }
+    }
+    sizes_[key] = size;
+    bytes_used_ += size;
+    ++stats_.insertions;
+    if (policy_) policy_->OnInsert(key, size, cost);
+    return true;
+  }
+
+  bool Resize(const K& key, uint64_t new_size, std::vector<K>* evicted) {
+    auto it = sizes_.find(key);
+    if (it == sizes_.end()) return false;
+    bytes_used_ = bytes_used_ - it->second + new_size;
+    it->second = new_size;
+    if (policy_) policy_->OnResize(key, new_size);
+    if (!bounded()) return true;
+    if (new_size + reserved_ > capacity_) {
+      Evict(key, evicted);
+      return false;
+    }
+    while (bytes_used_ + reserved_ > capacity_) {
+      K victim;
+      if (!policy_ || !policy_->ChooseVictim(&victim)) victim = key;
+      Evict(victim, evicted);
+      if (victim == key) return false;
+    }
+    return true;
+  }
+
+  bool Erase(const K& key) {
+    auto it = sizes_.find(key);
+    if (it == sizes_.end()) return false;
+    bytes_used_ -= it->second;
+    if (policy_) policy_->OnRemove(key);
+    sizes_.erase(it);
+    return true;
+  }
+
+  void SetReservedBytes(uint64_t bytes, std::vector<K>* evicted) {
+    reserved_ = bytes;
+    if (!bounded()) return;
+    while (bytes_used_ + reserved_ > capacity_) {
+      K victim;
+      if (!policy_ || !policy_->ChooseVictim(&victim)) break;
+      Evict(victim, evicted);
+    }
+  }
+
+  std::vector<K> Keys() const {
+    std::vector<K> keys;
+    for (const auto& [key, size] : sizes_) keys.push_back(key);
+    return keys;
+  }
+  uint64_t bytes_used() const { return bytes_used_; }
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  bool bounded() const { return capacity_ > 0; }
+
+  void Evict(const K& victim, std::vector<K>* evicted) {
+    uint64_t size = sizes_.at(victim);
+    bytes_used_ -= size;
+    ++stats_.evictions;
+    stats_.bytes_evicted += size;
+    if (policy_) policy_->OnRemove(victim);
+    sizes_.erase(victim);
+    evicted->push_back(victim);
+  }
+
+  uint64_t capacity_;
+  std::unique_ptr<Policy<K>> policy_;
+  std::map<K, uint64_t> sizes_;
+  uint64_t bytes_used_ = 0;
+  uint64_t reserved_ = 0;
+  CacheStats stats_;
+};
+
+}  // namespace reference
+
+/// Drives one seeded random operation sequence through KeyedStore and
+/// the reference model, asserting after every step that both evicted the
+/// same keys in the same order, agree on the outcome, and hold the same
+/// resident set and byte count.
+template <typename K>
+void RunDifferential(CachePolicy policy, uint64_t capacity, uint64_t seed) {
+  SCOPED_TRACE(std::string(CachePolicyName(policy)) + " capacity=" +
+               std::to_string(capacity) + " seed=" + std::to_string(seed));
+  KeyedStore<K> store(policy, capacity);
+  reference::Store<K> model(policy, capacity);
+  Rng rng(seed);
+  // Few distinct keys and sizes so touches, re-inserts, erases of
+  // residents and equal GDSF priorities (the key tie-break) all recur.
+  const int64_t kKeys = 48;
+  const double kCosts[] = {1.0, 1.0, 2.5, 40.0, 0.0, 317.25};
+  auto draw = [&rng](int64_t hi) {
+    return static_cast<uint64_t>(rng.UniformInt(0, hi));
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const K key = static_cast<K>(draw(kKeys - 1) * 7 + 3);
+    const uint64_t size = draw(64);
+    std::vector<K> got;
+    std::vector<K> want;
+    const uint64_t op = draw(99);
+    if (op < 45) {
+      const double cost = kCosts[draw(5)];
+      ASSERT_EQ(store.Insert(key, size, &got, cost),
+                model.Insert(key, size, &want, cost))
+          << "insert step " << step;
+    } else if (op < 70) {
+      store.Touch(key);
+      model.Touch(key);
+    } else if (op < 85) {
+      // Occasionally past the whole budget (the hopeless-resize path).
+      const uint64_t new_size = draw(capacity > 0 ? 140 : 64);
+      ASSERT_EQ(store.Resize(key, new_size, &got),
+                model.Resize(key, new_size, &want))
+          << "resize step " << step;
+    } else if (op < 97) {
+      ASSERT_EQ(store.Erase(key), model.Erase(key)) << "erase step " << step;
+    } else {
+      const uint64_t reserved = draw(2) == 0 ? draw(150) : 0;
+      store.SetReservedBytes(reserved, &got);
+      model.SetReservedBytes(reserved, &want);
+    }
+    ASSERT_EQ(got, want) << "evictions differ at step " << step;
+    ASSERT_EQ(store.Keys(), model.Keys()) << "residents differ at step "
+                                          << step;
+    ASSERT_EQ(store.bytes_used(), model.bytes_used()) << "step " << step;
+  }
+  EXPECT_EQ(store.stats().insertions, model.stats().insertions);
+  EXPECT_EQ(store.stats().hits, model.stats().hits);
+  EXPECT_EQ(store.stats().evictions, model.stats().evictions);
+  EXPECT_EQ(store.stats().bytes_evicted, model.stats().bytes_evicted);
+  EXPECT_EQ(store.stats().admission_rejects, model.stats().admission_rejects);
+  if (capacity > 0 && policy != CachePolicy::kUnbounded) {
+    EXPECT_GT(store.stats().evictions, 100u) << "sequence never evicted";
+  }
+}
+
+template <typename K>
+class KeyedStoreDifferentialTest : public ::testing::Test {};
+using StoreKeys = ::testing::Types<ObjectId, PeerAddress>;
+TYPED_TEST_SUITE(KeyedStoreDifferentialTest, StoreKeys);
+
+TYPED_TEST(KeyedStoreDifferentialTest, MatchesNodeBasedReference) {
+  for (CachePolicy policy : {CachePolicy::kUnbounded, CachePolicy::kLru,
+                             CachePolicy::kLfu, CachePolicy::kGdsf}) {
+    for (uint64_t capacity : {uint64_t{0}, uint64_t{120}, uint64_t{400}}) {
+      for (uint64_t seed : {1, 2, 3}) {
+        RunDifferential<TypeParam>(policy, capacity, seed);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 }  // namespace

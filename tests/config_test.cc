@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace flower {
 namespace {
 
@@ -82,6 +85,50 @@ TEST(ConfigTest, MalformedValueRejected) {
   EXPECT_EQ(c.duration, 24 * kHour);
   EXPECT_EQ(c.query_max_retries, 3);
   EXPECT_EQ(c.suspicion_keepalive_misses, 0);
+  // Outside the key's domain: each is refused with the key's name, and
+  // the field keeps its value.
+  const std::pair<const char*, const char*> kOutOfDomain[] = {
+      {"num_topology_nodes", "-3"},     {"num_topology_nodes", "0"},
+      {"num_localities", "0"},          {"num_objects_per_website", "0"},
+      {"queries_per_second", "nan"},    {"queries_per_second", "-1"},
+      {"duration", "-5h"},              {"zipf_alpha", "inf"},
+      {"zipf_alpha", "-0.5"},           {"new_client_probability", "7"},
+      {"push_threshold", "-1"},         {"churn_fail_probability", "nan"},
+      {"directory_summary_threshold", "1.5"},
+      {"gossip_length", "-1"},          {"metrics_window", "0"},
+      {"cache_cost_ewma_alpha", "nan"}, {"query_backoff_base", "inf"},
+      {"fault_delay_spike_probability", "nan"},
+  };
+  for (const auto& [key, value] : kOutOfDomain) {
+    Status s = c.Apply(key, value);
+    EXPECT_FALSE(s.ok()) << key << "=" << value;
+    EXPECT_NE(s.ToString().find(key), std::string::npos) << s.ToString();
+  }
+  const SimConfig defaults;
+  EXPECT_EQ(c.num_topology_nodes, defaults.num_topology_nodes);
+  EXPECT_EQ(c.num_localities, defaults.num_localities);
+  EXPECT_EQ(c.num_objects_per_website, defaults.num_objects_per_website);
+  EXPECT_EQ(c.queries_per_second, defaults.queries_per_second);
+  EXPECT_EQ(c.duration, defaults.duration);
+  EXPECT_EQ(c.zipf_alpha, defaults.zipf_alpha);
+  EXPECT_EQ(c.new_client_probability, defaults.new_client_probability);
+  EXPECT_EQ(c.push_threshold, defaults.push_threshold);
+  EXPECT_EQ(c.churn_fail_probability, defaults.churn_fail_probability);
+  EXPECT_EQ(c.directory_summary_threshold,
+            defaults.directory_summary_threshold);
+  EXPECT_EQ(c.gossip_length, defaults.gossip_length);
+  EXPECT_EQ(c.metrics_window, defaults.metrics_window);
+  EXPECT_EQ(c.cache_cost_ewma_alpha, defaults.cache_cost_ewma_alpha);
+  EXPECT_EQ(c.query_backoff_base, defaults.query_backoff_base);
+  EXPECT_EQ(c.fault_delay_spike_probability,
+            defaults.fault_delay_spike_probability);
+  // The domain edges stay accepted.
+  SimConfig edges;
+  EXPECT_TRUE(edges.Apply("num_topology_nodes", "1").ok());
+  EXPECT_TRUE(edges.Apply("queries_per_second", "0").ok());
+  EXPECT_TRUE(edges.Apply("duration", "0").ok());
+  EXPECT_TRUE(edges.Apply("push_threshold", "0").ok());
+  EXPECT_TRUE(edges.Apply("new_client_probability", "1").ok());
 }
 
 TEST(ConfigTest, ApplyArgs) {
