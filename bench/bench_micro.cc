@@ -263,7 +263,7 @@ void BM_KeyedStoreChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyedStoreChurn)
     ->ArgNames({"policy", "residents"})
-    ->ArgsProduct({{1, 2, 3}, {32, 512, 4096}});
+    ->ArgsProduct({{1, 2, 3}, {32, 128, 512, 4096}});
 
 }  // namespace
 }  // namespace flower

@@ -20,9 +20,11 @@
 // stores dominate RSS, so the resident set must cost bytes, not
 // pointers. Iteration order (ascending keys) is identical to the map it
 // replaced. Inserts/erases are O(n) memmoves and the victim is an O(n)
-// scan for the lowest rank, both cheap at the tens-to-hundreds of
-// residents a peer store actually holds (bench_micro BM_KeyedStoreChurn
-// records the cost at larger resident sets).
+// scan for the lowest rank. On the perfbench workloads and the cache and
+// directory-index ablation sweeps no store holds more than 100 residents
+// (see README, Performance); bench_micro BM_KeyedStoreChurn puts the
+// crossover with node-based policy maps between 128 and 512 residents
+// for LRU and GDSF, and between 32 and 128 for LFU.
 #ifndef FLOWERCDN_CACHE_KEYED_STORE_H_
 #define FLOWERCDN_CACHE_KEYED_STORE_H_
 

@@ -249,7 +249,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   FRACTION_KEY("new_client_probability", new_client_probability)
   DOUBLE_KEY("queries_per_second", queries_per_second)
   TIME_KEY("duration", duration, 0)
-  TIME_KEY("gossip_period", gossip_period, 0)
+  TIME_KEY("gossip_period", gossip_period, 1)
   INT_KEY("gossip_length", gossip_length, 0)
   INT_KEY("view_size", view_size, 0)
   if (key == "gossip_protocol") {
@@ -266,7 +266,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   INT_KEY("plumtree_summary_capacity", plumtree_summary_capacity, 0)
   FRACTION_KEY("plumtree_broadcast_threshold", plumtree_broadcast_threshold)
   FRACTION_KEY("push_threshold", push_threshold)
-  TIME_KEY("keepalive_period", keepalive_period, 0)
+  TIME_KEY("keepalive_period", keepalive_period, 1)
   INT_KEY("dead_age_limit", dead_age_limit, 0)
   INT_KEY("view_age_limit", view_age_limit, 0)
   INT_KEY("summary_bits_per_object", summary_bits_per_object, 1)
@@ -278,8 +278,8 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   INT_KEY("scaleup_extra_bits", scaleup_extra_bits, 0)
   INT_KEY("scaleup_instances", scaleup_instances, 0)
   INT_KEY("chord_successor_list", chord_successor_list, 0)
-  TIME_KEY("chord_stabilize_period", chord_stabilize_period, 0)
-  TIME_KEY("chord_fix_fingers_period", chord_fix_fingers_period, 0)
+  TIME_KEY("chord_stabilize_period", chord_stabilize_period, 1)
+  TIME_KEY("chord_fix_fingers_period", chord_fix_fingers_period, 1)
   BOOL_KEY("chord_oracle_maintenance", chord_oracle_maintenance)
   BOOL_KEY("churn_enabled", churn_enabled)
   TIME_KEY("churn_mean_session", churn_mean_session, 0)
@@ -287,7 +287,7 @@ Status SimConfig::Apply(const std::string& key, const std::string& value) {
   FRACTION_KEY("churn_fail_probability", churn_fail_probability)
   BOOL_KEY("active_replication", active_replication)
   INT_KEY("replication_top_objects", replication_top_objects, 0)
-  TIME_KEY("replication_period", replication_period, 0)
+  TIME_KEY("replication_period", replication_period, 1)
   if (key == "fault_loss" || key == "fault_duplicate") {
     // Validate the spec here so a sweep typo dies at parse time, not
     // mid-run; the FaultPlan re-parses it when the injector is built.

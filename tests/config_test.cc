@@ -98,6 +98,9 @@ TEST(ConfigTest, MalformedValueRejected) {
       {"gossip_length", "-1"},          {"metrics_window", "0"},
       {"cache_cost_ewma_alpha", "nan"}, {"query_backoff_base", "inf"},
       {"fault_delay_spike_probability", "nan"},
+      {"gossip_period", "0"},           {"keepalive_period", "0"},
+      {"replication_period", "0"},      {"chord_stabilize_period", "0"},
+      {"chord_fix_fingers_period", "0"},
   };
   for (const auto& [key, value] : kOutOfDomain) {
     Status s = c.Apply(key, value);
@@ -122,6 +125,11 @@ TEST(ConfigTest, MalformedValueRejected) {
   EXPECT_EQ(c.query_backoff_base, defaults.query_backoff_base);
   EXPECT_EQ(c.fault_delay_spike_probability,
             defaults.fault_delay_spike_probability);
+  EXPECT_EQ(c.gossip_period, defaults.gossip_period);
+  EXPECT_EQ(c.keepalive_period, defaults.keepalive_period);
+  EXPECT_EQ(c.replication_period, defaults.replication_period);
+  EXPECT_EQ(c.chord_stabilize_period, defaults.chord_stabilize_period);
+  EXPECT_EQ(c.chord_fix_fingers_period, defaults.chord_fix_fingers_period);
   // The domain edges stay accepted.
   SimConfig edges;
   EXPECT_TRUE(edges.Apply("num_topology_nodes", "1").ok());
@@ -129,6 +137,8 @@ TEST(ConfigTest, MalformedValueRejected) {
   EXPECT_TRUE(edges.Apply("duration", "0").ok());
   EXPECT_TRUE(edges.Apply("push_threshold", "0").ok());
   EXPECT_TRUE(edges.Apply("new_client_probability", "1").ok());
+  EXPECT_TRUE(edges.Apply("gossip_period", "1ms").ok());
+  EXPECT_TRUE(edges.Apply("hyparview_shuffle_period", "0").ok());
 }
 
 TEST(ConfigTest, ApplyArgs) {
