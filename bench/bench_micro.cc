@@ -1,7 +1,7 @@
 // Microbenchmarks for the hot data structures of the simulator and the
 // protocols (google-benchmark: event queue, Bloom filters, view merges,
 // Zipf sampling, Chord routing steps, topology latency lookups, keyed
-// store eviction churn), plus
+// store eviction churn, object-slot and content-residency lookups), plus
 // two subcommands that need no google-benchmark:
 //
 //   ./bench_micro sweep quick json   # end-to-end smoke run per system
@@ -33,9 +33,12 @@
 
 #include "bloom/bloom_filter.h"
 #include "bloom/summary.h"
+#include "cache/content_store.h"
 #include "cache/keyed_store.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/zipf.h"
+#include "core/website.h"
 #include "dht/chord_ring.h"
 #include "gossip/view.h"
 #include "net/topology.h"
@@ -253,7 +256,7 @@ void BM_KeyedStoreChurn(benchmark::State& state) {
   }
   for (auto _ : state) {
     evicted.clear();
-    store.Touch(recent[(next + residents / 2) % residents]);
+    store.TouchIfResident(recent[(next + residents / 2) % residents]);
     recent[next % residents] = Mix64(next);
     store.Insert(recent[next % residents], kSize, &evicted);
     ++next;
@@ -264,6 +267,66 @@ void BM_KeyedStoreChurn(benchmark::State& state) {
 BENCHMARK(BM_KeyedStoreChurn)
     ->ArgNames({"policy", "residents"})
     ->ArgsProduct({{1, 2, 3}, {32, 128, 512, 4096}});
+
+/// A website whose `objects` object ids are hashed the way the catalog
+/// hashes them, with its slot table built.
+Website MakeBenchSite(int objects) {
+  Website site;
+  site.url = "www.site0.org";
+  for (int o = 0; o < objects; ++o) {
+    site.objects.push_back(Fnv1a64(site.url + "/obj" + std::to_string(o)));
+  }
+  site.BuildIdTable({});
+  return site;
+}
+
+// Website::SlotOf, asked several times per query hop: a 2000-object site
+// (the dense-sharded catalog) probed in catalog order with its own ids
+// (hit=1) or with ids of no site (hit=0).
+void BM_SlotOf(benchmark::State& state) {
+  const bool hit = state.range(0) != 0;
+  const Website site = MakeBenchSite(2000);
+  std::vector<ObjectId> probes = site.objects;
+  if (!hit) {
+    for (ObjectId& id : probes) id = Mix64(id);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(site.SlotOf(probes[i]));
+    if (++i == probes.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SlotOf)->ArgName("hit")->Arg(1)->Arg(0);
+
+// ContentStore::TouchIfResident on an unbounded peer cache (the paper's
+// default) holding `residents` objects of a 4000-object site: every
+// other catalog id is resident, hits probe those and misses the ids in
+// between (objects of the site the peer does not hold). indexed=1 gives
+// the store the site's residency index, as content and directory peers
+// do; indexed=0 is the binary search over the residents.
+void BM_ContentResidency(benchmark::State& state) {
+  const auto residents = static_cast<size_t>(state.range(0));
+  const bool indexed = state.range(1) != 0;
+  const bool hit = state.range(2) != 0;
+  const Website site = MakeBenchSite(4000);
+  ContentStore store;
+  if (indexed) store.IndexResidency(&site.id_table);
+  std::vector<ObjectId> probes;
+  for (size_t r = 0; r < residents; ++r) {
+    store.Insert(site.objects[2 * r], 1);
+    probes.push_back(site.objects[2 * r + (hit ? 0 : 1)]);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.TouchIfResident(probes[i]));
+    if (++i == probes.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ContentResidency)
+    ->ArgNames({"residents", "indexed", "hit"})
+    ->ArgsProduct({{32, 300, 2000}, {0, 1}, {1, 0}});
 
 }  // namespace
 }  // namespace flower

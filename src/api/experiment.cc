@@ -181,6 +181,8 @@ Experiment& Experiment::Every(SimTime period, ObserverFn fn) {
 }
 
 Result<RunResult> Experiment::TryRun() {
+  Status valid = config_.Validate();
+  if (!valid.ok()) return valid;
   // The construction order below (simulator, topology, network, metrics,
   // system, churn-in-Setup, workload, driver, sampler) is exactly the v1
   // runner's; preserving it keeps every RNG draw, and therefore every

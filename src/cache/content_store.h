@@ -14,6 +14,15 @@
 // silently lie. The engine itself — byte accounting, admission/headroom
 // hooks, LRU/LFU/GDSF victim choice — lives in KeyedStore and is shared
 // with the DirectoryStore (directory_store.h).
+//
+// Content and directory peers index their store's residency by their
+// website's object-id table (KeyedStore::IndexResidency with
+// Website::id_table, in their constructors and again when a promotion
+// moves a content peer's store into a directory peer), so the
+// local-cache check on every query is a hashed slot lookup plus a bit
+// test. Objects of another site (a directory's store can receive them
+// through D-ring routing) have no slot there and fall back to the binary
+// search. Squirrel's cache spans every site and stays unindexed.
 #ifndef FLOWERCDN_CACHE_CONTENT_STORE_H_
 #define FLOWERCDN_CACHE_CONTENT_STORE_H_
 

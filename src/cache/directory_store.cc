@@ -35,10 +35,10 @@ void DirectoryStore::Touch(PeerAddress peer) {
   size_t i = IndexOf(peer);
   if (i == kNpos) return;
   entries_[i].age = 0;
-  engine_.Touch(peer);
+  engine_.TouchIfResident(peer);
 }
 
-void DirectoryStore::Probe(PeerAddress peer) { engine_.Touch(peer); }
+void DirectoryStore::Probe(PeerAddress peer) { engine_.TouchIfResident(peer); }
 
 void DirectoryStore::SetEntryState(PeerAddress peer, int age,
                                    SimTime joined_at) {

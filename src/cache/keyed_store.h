@@ -25,6 +25,16 @@
 // (see README, Performance); bench_micro BM_KeyedStoreChurn puts the
 // crossover with node-based policy maps between 128 and 512 residents
 // for LRU and GDSF, and between 32 and 128 for LFU.
+//
+// Residency index: a store whose keys come from a fixed universe can be
+// given that universe's Interner (IndexResidency). It then keeps one bit
+// per handle, written only where a key enters (InsertAt) or leaves
+// (RemoveAt) keys_, so Contains, TouchIfResident on unranked stores and
+// the residency check of Insert are one hashed handle lookup plus a bit
+// test, and absent keys are rejected before any search. A key with no
+// handle (a foreign site's object routed into a directory's store) falls
+// back to the binary search over keys_; the resident set, its order and
+// every return value are the same as without the index.
 #ifndef FLOWERCDN_CACHE_KEYED_STORE_H_
 #define FLOWERCDN_CACHE_KEYED_STORE_H_
 
@@ -37,13 +47,14 @@
 #include <vector>
 
 #include "cache/eviction_policy.h"
+#include "common/interner.h"
 
 namespace flower {
 
 /// Lifetime counters of one KeyedStore.
 struct CacheStats {
   uint64_t insertions = 0;        // keys that became resident
-  uint64_t hits = 0;              // Touch() calls on resident keys
+  uint64_t hits = 0;              // accesses to resident keys
   uint64_t evictions = 0;         // victims removed for capacity
   uint64_t bytes_evicted = 0;
   uint64_t admission_rejects = 0; // inserts refused (hook, size, no victim)
@@ -86,17 +97,40 @@ class KeyedStore {
 
   // --- Residency --------------------------------------------------------------
 
-  bool Contains(const K& key) const { return IndexOf(key) != kNpos; }
+  /// Indexes residency by the handles of `table` (non-null; see the file
+  /// comment). Residents already present are indexed, so it may be
+  /// called on a populated or moved-in store. `table` must outlive the
+  /// store and not be rebuilt while indexed.
+  void IndexResidency(const Interner<K>* table) {
+    table_ = table;
+    resident_bits_.assign((table->size() + 63) / 64, 0);
+    for (const K& key : keys_) SetResidentBit(key, true);
+  }
+
+  bool Contains(const K& key) const {
+    const Residency r = IndexedResidency(key);
+    if (r != Residency::kUnknown) return r == Residency::kResident;
+    return IndexOf(key) != kNpos;
+  }
 
   /// std::set-compatible spelling (0 or 1), kept so call sites and tests
   /// read the same as with the old `std::set` state.
   size_t count(const K& key) const { return Contains(key) ? 1 : 0; }
 
-  /// Records an access to a resident key (recency/frequency rank). No-op
-  /// when the key is absent.
-  void Touch(const K& key) {
-    size_t i = IndexOf(key);
-    if (i != kNpos) TouchAt(i);
+  /// Records an access to `key` (recency/frequency rank) when it is
+  /// resident; returns whether it was. One residency check: on an
+  /// indexed unranked store a bit test, otherwise one search.
+  bool TouchIfResident(const K& key) {
+    const Residency r = IndexedResidency(key);
+    if (r == Residency::kAbsent) return false;
+    if (r == Residency::kResident && !ranked()) {
+      ++stats_.hits;
+      return true;
+    }
+    const size_t i = IndexOf(key);
+    if (i == kNpos) return false;
+    TouchAt(i);
+    return true;
   }
 
   /// Makes `key` resident with the given size. Returns true if the key
@@ -110,8 +144,15 @@ class KeyedStore {
   /// `cost` feeds the GDSF priority (1 = plain GDSF).
   bool Insert(const K& key, uint64_t size_bytes,
               std::vector<K>* evicted = nullptr, double cost = 1.0) {
-    size_t i = IndexOf(key);
-    if (i != kNpos) {
+    // One search serves both the residency check and the insert
+    // position (shifted below as victims leave).
+    const Residency known = IndexedResidency(key);
+    if (known == Residency::kResident && !ranked()) {
+      ++stats_.hits;
+      return true;
+    }
+    size_t i = LowerBound(key);
+    if (known != Residency::kAbsent && i < keys_.size() && !(key < keys_[i])) {
       TouchAt(i);
       return true;
     }
@@ -133,9 +174,10 @@ class KeyedStore {
           return false;
         }
         Evict(victim, evicted, /*is_minimum=*/true);
+        if (victim < i) --i;
       }
     }
-    i = InsertSorted(key, size_bytes);
+    InsertAt(i, key, size_bytes);
     bytes_used_ += size_bytes;
     ++stats_.insertions;
     if (ranked()) {
@@ -344,11 +386,41 @@ class KeyedStore {
     return static_cast<uint32_t>(size_bytes);
   }
 
+  /// Position of the first resident key not less than `key`.
+  size_t LowerBound(const K& key) const {
+    return static_cast<size_t>(
+        std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+  }
+
   /// Index of `key` in the sorted key vector, kNpos when absent.
   size_t IndexOf(const K& key) const {
-    auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-    if (it == keys_.end() || key < *it) return kNpos;
-    return static_cast<size_t>(it - keys_.begin());
+    const size_t i = LowerBound(key);
+    return i < keys_.size() && !(key < keys_[i]) ? i : kNpos;
+  }
+
+  /// What the residency index knows about `key`: kUnknown when the store
+  /// is not indexed or `key` has no handle (the caller searches). An
+  /// empty bitmap means "not indexed", which also covers a moved-from
+  /// store (its bitmap moved away with its residents).
+  enum class Residency : uint8_t { kAbsent, kResident, kUnknown };
+  Residency IndexedResidency(const K& key) const {
+    if (resident_bits_.empty()) return Residency::kUnknown;
+    const typename Interner<K>::Handle h = table_->HandleOf(key);
+    if (h == Interner<K>::kInvalidHandle) return Residency::kUnknown;
+    return (resident_bits_[h >> 6] >> (h & 63)) & 1 ? Residency::kResident
+                                                    : Residency::kAbsent;
+  }
+
+  void SetResidentBit(const K& key, bool resident) {
+    if (resident_bits_.empty()) return;
+    const typename Interner<K>::Handle h = table_->HandleOf(key);
+    if (h == Interner<K>::kInvalidHandle) return;
+    const uint64_t bit = uint64_t{1} << (h & 63);
+    if (resident) {
+      resident_bits_[h >> 6] |= bit;
+    } else {
+      resident_bits_[h >> 6] &= ~bit;
+    }
   }
 
   /// One resident's eviction rank (see the class comment for each
@@ -424,15 +496,14 @@ class KeyedStore {
     return policy_ == CachePolicy::kGdsf && VictimIndex() == i;
   }
 
-  /// Inserts a non-resident key at its sorted position and returns that
-  /// position; the rank slot (if any) is left for the caller to fill.
-  size_t InsertSorted(const K& key, uint64_t size_bytes) {
-    auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-    const auto d = it - keys_.begin();
-    keys_.insert(it, key);
+  /// Inserts a non-resident key at sorted position i (its LowerBound);
+  /// the rank slot (if any) is left for the caller to fill.
+  void InsertAt(size_t i, const K& key, uint64_t size_bytes) {
+    const auto d = static_cast<std::ptrdiff_t>(i);
+    keys_.insert(keys_.begin() + d, key);
     sizes_.insert(sizes_.begin() + d, SizeRep(size_bytes));
     if (ranked()) ranks_.insert(ranks_.begin() + d, Rank{});
-    return static_cast<size_t>(d);
+    SetResidentBit(key, true);
   }
 
   /// Drops resident i from every parallel array. GDSF's inflation clock
@@ -447,6 +518,7 @@ class KeyedStore {
       }
       ranks_.erase(ranks_.begin() + d);
     }
+    SetResidentBit(keys_[i], false);
     keys_.erase(keys_.begin() + d);
     sizes_.erase(sizes_.begin() + d);
   }
@@ -468,6 +540,10 @@ class KeyedStore {
   std::vector<K> keys_;
   std::vector<uint32_t> sizes_;
   std::vector<Rank> ranks_;
+  // Residency index (IndexResidency): one bit per table_ handle, set
+  // while that key is in keys_; empty when the store is not indexed.
+  const Interner<K>* table_ = nullptr;
+  std::vector<uint64_t> resident_bits_;
   uint64_t clock_ = 0;      // LRU/LFU logical access clock
   double inflation_ = 0;    // GDSF inflation clock L
   uint64_t bytes_used_ = 0;

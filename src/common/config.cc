@@ -389,6 +389,38 @@ Status SimConfig::ApplyArgs(int argc, char** argv) {
     Status s = Apply(tok.substr(0, eq), tok.substr(eq + 1));
     if (!s.ok()) return s;
   }
+  return Validate();
+}
+
+Status SimConfig::Validate() const {
+  // DRingIdScheme packs (website, locality, instance) into chord_id_bits
+  // and only asserts this geometry; unchecked, a bad combination failed
+  // every directory join (or hung) in Release builds.
+  auto fits = [](int64_t bits, int64_t count) {
+    return bits >= 62 || (int64_t{1} << bits) >= count;
+  };
+  if (chord_id_bits < 2 || chord_id_bits > 64) {
+    return Status::InvalidArgument("chord_id_bits wants an integer in [2, 64]");
+  }
+  if (locality_id_bits < 1 || !fits(locality_id_bits, num_localities)) {
+    return Status::InvalidArgument(
+        "locality_id_bits must be >= 1 with 2^locality_id_bits >= "
+        "num_localities (" + std::to_string(num_localities) + ")");
+  }
+  if (int64_t{locality_id_bits} + scaleup_extra_bits >= chord_id_bits) {
+    return Status::InvalidArgument(
+        "locality_id_bits + scaleup_extra_bits must be < chord_id_bits "
+        "(the website field needs >= 1 bit): " +
+        std::to_string(locality_id_bits) + " + " +
+        std::to_string(scaleup_extra_bits) + " >= " +
+        std::to_string(chord_id_bits));
+  }
+  if (!fits(scaleup_extra_bits, scaleup_instances)) {
+    return Status::InvalidArgument(
+        "scaleup_instances (" + std::to_string(scaleup_instances) +
+        ") must be <= 2^scaleup_extra_bits (" +
+        std::to_string(scaleup_extra_bits) + ")");
+  }
   return Status::Ok();
 }
 

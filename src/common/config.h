@@ -250,8 +250,17 @@ struct SimConfig {
   /// malformed values. Times accept suffixes ms, s, min, h.
   Status Apply(const std::string& key, const std::string& value);
 
-  /// Applies argv-style overrides ("key=value" tokens).
+  /// Applies argv-style overrides ("key=value" tokens), then Validate().
   Status ApplyArgs(int argc, char** argv);
+
+  /// Checks the rules that tie several keys together, so they hold
+  /// whatever order the keys were applied in: the D-ring id geometry
+  /// (chord_id_bits in [2, 64]; locality_id_bits >= 1 with
+  /// 2^locality_id_bits >= num_localities; locality_id_bits +
+  /// scaleup_extra_bits < chord_id_bits, leaving the website field at
+  /// least one bit; scaleup_instances <= 2^scaleup_extra_bits). The error
+  /// names the keys. Experiment runs call it before building anything.
+  Status Validate() const;
 
   /// Pretty-prints the configuration.
   std::string ToString() const;

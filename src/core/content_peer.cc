@@ -20,6 +20,7 @@ ContentPeer::ContentPeer(FlowerContext* ctx, const Website* site,
   // Built in the body: the factory reads config through the
   // MembershipHost interface, which needs this object constructed.
   membership_ = MakeMembership(this);
+  content_.IndexResidency(&site_->id_table);
 }
 
 ContentPeer::~ContentPeer() {
@@ -58,10 +59,7 @@ void ContentPeer::RequestObject(ObjectId object) {
   // Local-cache hits never become queries: only local misses reach the P2P
   // system (web-cache semantics; this matches the paper's measured
   // distributions, which contain no zero-latency mass).
-  if (content_.Contains(object)) {
-    content_.Touch(object);
-    return;
-  }
+  if (content_.TouchIfResident(object)) return;
   if (pending_.count(object) > 0) {
     ++duplicate_queries_;  // already in flight; piggyback on its result
     return;
@@ -204,8 +202,7 @@ void ContentPeer::SendViaDRing(ObjectId object, PendingQuery* pq) {
 // --- Serving other peers ---------------------------------------------------------
 
 void ContentPeer::HandleIncomingQuery(std::unique_ptr<FlowerQueryMsg> query) {
-  if (content_.Contains(query->object)) {
-    content_.Touch(query->object);
+  if (content_.TouchIfResident(query->object)) {
     ctx_->metrics->OnLookupResolved(query->submit_time, ctx_->sim->Now(),
                                     /*provider_is_server=*/false);
     auto serve = std::make_unique<ServeMsg>(
@@ -335,10 +332,7 @@ void ContentPeer::MergeDirPointer(const DirectoryPointer& incoming) {
 // --- Push & keepalive (Algorithm 5 / Sec 5.1) ------------------------------------
 
 void ContentPeer::AddObject(ObjectId object, double cost) {
-  if (content_.Contains(object)) {
-    content_.Touch(object);
-    return;
-  }
+  if (content_.TouchIfResident(object)) return;
   std::vector<ObjectId> evicted;
   bool inserted = content_.Insert(object, site_->ObjectSizeBits(object) / 8,
                                   &evicted, cost);
@@ -479,8 +473,7 @@ void ContentPeer::HandleDirectoryHandoff(
 // --- Replication extension -----------------------------------------------------------
 
 void ContentPeer::HandleReplicaTransferCmd(const ReplicaTransferCmd& cmd) {
-  if (!content_.Contains(cmd.object)) return;
-  content_.Touch(cmd.object);
+  if (!content_.TouchIfResident(cmd.object)) return;
   ctx_->network->Send(this, cmd.target,
                       std::make_unique<ReplicaTransferMsg>(
                           cmd.object, site_->dring_hash,

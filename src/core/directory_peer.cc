@@ -23,6 +23,7 @@ DirectoryPeer::DirectoryPeer(FlowerContext* ctx, const Website* site,
       cost_model_(*ctx->config),
       view_(ctx->config->view_size, ctx->config->view_age_limit) {
   set_app(this);
+  content_.IndexResidency(&site_->id_table);
 }
 
 DirectoryPeer::~DirectoryPeer() {
@@ -54,6 +55,7 @@ void DirectoryPeer::SeedFromPromotion(ContentStore content, View view,
                                       SimTime member_since) {
   (void)member_since;
   content_ = std::move(content);
+  content_.IndexResidency(&site_->id_table);
   view_ = std::move(view);
   for (const auto& [o, size] : content_.entries()) NoteNewObjectId(o);
   MaybeRefreshNeighborSummaries();
@@ -203,7 +205,7 @@ void DirectoryPeer::ProcessQuery(std::unique_ptr<FlowerQueryMsg> query) {
     RedirectToServer(std::move(query));
     return;
   }
-  if (content_.Contains(query->object)) {
+  if (content_.TouchIfResident(query->object)) {
     ServeFromOwnContent(*query);
     return;
   }
@@ -220,7 +222,6 @@ void DirectoryPeer::ProcessQuery(std::unique_ptr<FlowerQueryMsg> query) {
 }
 
 void DirectoryPeer::ServeFromOwnContent(const FlowerQueryMsg& query) {
-  content_.Touch(query.object);
   ctx_->metrics->OnLookupResolved(query.submit_time, ctx_->sim->Now(),
                                   /*provider_is_server=*/false);
   auto serve = std::make_unique<ServeMsg>(
@@ -418,10 +419,7 @@ void DirectoryPeer::RequestObject(ObjectId object) {
   if (!alive_) return;
   SimTime now = ctx_->sim->Now();
   // Local-cache hits never become queries (see ContentPeer::RequestObject).
-  if (content_.Contains(object)) {
-    content_.Touch(object);
-    return;
-  }
+  if (content_.TouchIfResident(object)) return;
   if (pending_own_.count(object) > 0) {
     pending_own_[object].push_back(now);
     return;
@@ -436,10 +434,7 @@ void DirectoryPeer::RequestObject(ObjectId object) {
 }
 
 void DirectoryPeer::AddOwnObject(ObjectId object, double cost) {
-  if (content_.Contains(object)) {
-    content_.Touch(object);
-    return;
-  }
+  if (content_.TouchIfResident(object)) return;
   std::vector<ObjectId> evicted;
   bool inserted = content_.Insert(object, site_->ObjectSizeBits(object) / 8,
                                   &evicted, cost);
@@ -587,8 +582,7 @@ void DirectoryPeer::HandleReplicationRequest(
       ctx_->network->Send(this, holder,
                           std::make_unique<ReplicaTransferCmd>(
                               o, req.deposit_target));
-    } else if (content_.Contains(o)) {
-      content_.Touch(o);
+    } else if (content_.TouchIfResident(o)) {
       ctx_->network->Send(this, req.deposit_target,
                           std::make_unique<ReplicaTransferMsg>(
                               o, site_->dring_hash,

@@ -9,16 +9,20 @@
 //
 //   nodes_[i]  - the NodeId occupying slot i            (hot: scanned)
 //   peers_[i]  - owning pointer to that node's peer     (hot: scanned)
-//   index_     - NodeId -> slot, 4-byte values          (cold: lookups)
+//   index_[n]  - slot of NodeId n, kVacant when none    (keyed lookups)
 //
-// Harvests stream the two arrays linearly and never touch the map; keyed
-// lookups (queries arriving at a node) go through the thin index. Removal
-// is swap-with-last, so slots stay dense under churn; the peers
-// themselves sit behind unique_ptr, so raw Peer* handed to the network
-// layer stay stable across slot moves. Slot order is NOT meaningful —
-// every iteration the simulation observes is sorted by node id by the
-// caller (see flower_system.cc), which is what keeps behavior independent
-// of churn history and of this container's layout.
+// Harvests stream the two arrays linearly and never touch the index;
+// keyed lookups (two per submitted query) are one bounds check and one
+// load. NodeIds are dense topology indices, so the index is a flat
+// vector indexed by NodeId (4 bytes per topology node up to the largest
+// id ever inserted) rather than a hash map, whose find cost 7.6% of a
+// sharded run (README, Performance). Removal is swap-with-last, so slots
+// stay dense under churn; the peers themselves sit behind unique_ptr, so
+// raw Peer* handed to the network layer stay stable across slot moves.
+// Slot order is NOT meaningful — every iteration the simulation observes
+// is sorted by node id by the caller (see flower_system.cc), which is
+// what keeps behavior independent of churn history and of this
+// container's layout.
 #ifndef FLOWERCDN_CORE_PEER_TABLE_H_
 #define FLOWERCDN_CORE_PEER_TABLE_H_
 
@@ -26,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,20 +43,22 @@ class PeerTable {
   size_t size() const { return nodes_.size(); }
   bool empty() const { return nodes_.empty(); }
 
-  bool Contains(NodeId node) const { return index_.count(node) > 0; }
+  bool Contains(NodeId node) const { return SlotOf(node) != kVacant; }
 
   /// The peer registered at `node`, or nullptr.
   T* Find(NodeId node) const {
-    auto it = index_.find(node);
-    return it == index_.end() ? nullptr : peers_[it->second].get();
+    const uint32_t i = SlotOf(node);
+    return i == kVacant ? nullptr : peers_[i].get();
   }
 
   /// Registers `peer` at `node` (which must be vacant). Returns the raw
   /// pointer, which stays valid until Take() releases the peer.
   T* Insert(NodeId node, std::unique_ptr<T> peer) {
     assert(peer != nullptr);
-    assert(index_.count(node) == 0 && "node already occupied");
-    index_.emplace(node, static_cast<uint32_t>(nodes_.size()));
+    assert(node != kInvalidNode && "NodeIds index the topology");
+    assert(!Contains(node) && "node already occupied");
+    if (node >= index_.size()) index_.resize(size_t{node} + 1, kVacant);
+    index_[node] = static_cast<uint32_t>(nodes_.size());
     nodes_.push_back(node);
     peers_.push_back(std::move(peer));
     return peers_.back().get();
@@ -63,19 +68,18 @@ class PeerTable {
   /// Swap-with-last keeps the arrays dense; other peers' raw pointers
   /// are unaffected.
   std::unique_ptr<T> Take(NodeId node) {
-    auto it = index_.find(node);
-    if (it == index_.end()) return nullptr;
-    const uint32_t i = it->second;
+    const uint32_t i = SlotOf(node);
+    if (i == kVacant) return nullptr;
     std::unique_ptr<T> out = std::move(peers_[i]);
     const uint32_t last = static_cast<uint32_t>(nodes_.size()) - 1;
     if (i != last) {
       nodes_[i] = nodes_[last];
       peers_[i] = std::move(peers_[last]);
-      index_[nodes_[i]] = i;  // existing key: no rehash, `it` stays valid
+      index_[nodes_[i]] = i;
     }
     nodes_.pop_back();
     peers_.pop_back();
-    index_.erase(it);
+    index_[node] = kVacant;
     return out;
   }
 
@@ -85,9 +89,15 @@ class PeerTable {
   T* at(size_t i) const { return peers_[i].get(); }
 
  private:
+  static constexpr uint32_t kVacant = 0xffffffffu;
+
+  uint32_t SlotOf(NodeId node) const {
+    return node < index_.size() ? index_[node] : kVacant;
+  }
+
   std::vector<NodeId> nodes_;
   std::vector<std::unique_ptr<T>> peers_;
-  std::unordered_map<NodeId, uint32_t> index_;
+  std::vector<uint32_t> index_;
 };
 
 }  // namespace flower

@@ -47,10 +47,7 @@ void SquirrelNode::RequestObject(const Website* site, ObjectId object) {
   SimTime now = ctx_->sim->Now();
   // Local-cache hits never become queries (web-cache semantics; matches
   // the Squirrel paper, where only browser-cache misses reach the overlay).
-  if (cache_.Contains(object)) {
-    cache_.Touch(object);
-    return;
-  }
+  if (cache_.TouchIfResident(object)) return;
   if (!pending_own_.insert(object).second) return;  // already in flight
   ctx_->metrics->OnQuerySubmitted(now);
   auto q = std::make_unique<FlowerQueryMsg>(
@@ -75,10 +72,7 @@ void SquirrelNode::Deliver(Key key, MessagePtr payload,
 
 void SquirrelNode::CacheObject(WebsiteId website, ObjectId object,
                                double cost) {
-  if (cache_.Contains(object)) {
-    cache_.Touch(object);
-    return;
-  }
+  if (cache_.TouchIfResident(object)) return;
   std::vector<ObjectId> evicted;
   bool inserted =
       cache_.Insert(object,
@@ -120,10 +114,9 @@ void SquirrelNode::ServeClient(const FlowerQueryMsg& query) {
 void SquirrelNode::ProcessAsHome(std::unique_ptr<FlowerQueryMsg> query) {
   const ObjectId object = query->object;
 
-  if (cache_.Contains(object)) {
+  if (cache_.TouchIfResident(object)) {
     // The home node happens to hold the object (it downloaded it itself,
     // or home-store keeps it here by design).
-    cache_.Touch(object);
     ServeClient(*query);
     return;
   }
@@ -205,8 +198,7 @@ void SquirrelNode::HandleMessage(MessagePtr msg) {
     // A home node redirected a requester to us.
     msg.release();
     auto owned = std::unique_ptr<FlowerQueryMsg>(query);
-    if (cache_.Contains(owned->object)) {
-      cache_.Touch(owned->object);
+    if (cache_.TouchIfResident(owned->object)) {
       ServeClient(*owned);
     } else {
       // Count the wasted hop only when the pointer went stale because we

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/interner.h"
 #include "common/rng.h"
 
 namespace flower {
@@ -145,7 +146,7 @@ TEST(ContentStoreTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(store.Insert(1, 10));
   EXPECT_TRUE(store.Insert(2, 10));
   EXPECT_TRUE(store.Insert(3, 10));
-  store.Touch(1);  // 2 is now the least recently used
+  store.TouchIfResident(1);  // 2 is now the least recently used
   std::vector<ObjectId> evicted;
   EXPECT_TRUE(store.Insert(4, 10, &evicted));
   ASSERT_EQ(evicted.size(), 1u);
@@ -158,9 +159,9 @@ TEST(ContentStoreTest, LfuEvictsLeastFrequentlyUsed) {
   EXPECT_TRUE(store.Insert(1, 10));
   EXPECT_TRUE(store.Insert(2, 10));
   EXPECT_TRUE(store.Insert(3, 10));
-  store.Touch(1);
-  store.Touch(1);
-  store.Touch(3);
+  store.TouchIfResident(1);
+  store.TouchIfResident(1);
+  store.TouchIfResident(3);
   // Frequencies: 1 -> 3, 2 -> 1, 3 -> 2. Victim: 2.
   std::vector<ObjectId> evicted;
   EXPECT_TRUE(store.Insert(4, 10, &evicted));
@@ -198,7 +199,7 @@ TEST(ContentStoreTest, GdsfFrequencyOutweighsSizeEventually) {
   EXPECT_TRUE(store.Insert(1, 50));
   EXPECT_TRUE(store.Insert(2, 50));
   // Heat up the big object 1 far past 2: 1's priority 6/50 > 2's 1/50.
-  for (int i = 0; i < 5; ++i) store.Touch(1);
+  for (int i = 0; i < 5; ++i) store.TouchIfResident(1);
   std::vector<ObjectId> evicted;
   EXPECT_TRUE(store.Insert(3, 20, &evicted));
   ASSERT_EQ(evicted.size(), 1u);
@@ -262,9 +263,9 @@ TEST(ContentStoreTest, ObjectsIterateInIdOrder) {
 TEST(ContentStoreTest, StatsCountHitsAndInsertions) {
   ContentStore store(CachePolicy::kLru, 0);
   EXPECT_TRUE(store.Insert(1, 10));
-  store.Touch(1);
-  store.Touch(1);
-  store.Touch(99);  // absent: not a hit
+  store.TouchIfResident(1);
+  store.TouchIfResident(1);
+  store.TouchIfResident(99);  // absent: not a hit
   EXPECT_EQ(store.stats().insertions, 1u);
   EXPECT_EQ(store.stats().hits, 2u);
 }
@@ -292,8 +293,8 @@ TEST(ContentStoreTest, UniformCostMatchesPlainGdsf) {
     EXPECT_TRUE(plain.Insert(id, 30 + id));
     EXPECT_TRUE(costed.Insert(id, 30 + id, nullptr, 1.0));
   }
-  plain.Touch(2);
-  costed.Touch(2);
+  plain.TouchIfResident(2);
+  costed.TouchIfResident(2);
   std::vector<ObjectId> evicted_plain;
   std::vector<ObjectId> evicted_costed;
   EXPECT_TRUE(plain.Insert(9, 60, &evicted_plain));
@@ -631,7 +632,7 @@ void RunDifferential(CachePolicy policy, uint64_t capacity, uint64_t seed) {
                 model.Insert(key, size, &want, cost))
           << "insert step " << step;
     } else if (op < 70) {
-      store.Touch(key);
+      store.TouchIfResident(key);
       model.Touch(key);
     } else if (op < 85) {
       // Occasionally past the whole budget (the hopeless-resize path).
@@ -676,6 +677,148 @@ TYPED_TEST(KeyedStoreDifferentialTest, MatchesNodeBasedReference) {
       }
     }
   }
+}
+
+// --- Residency index ----------------------------------------------------------
+
+// When the indexed store of a residency differential gets its index.
+enum class IndexAttach {
+  kFromStart,
+  kWhenPopulated,  // IndexResidency on a store that already holds keys
+  kThroughMove,    // the promotion path: moved out, moved in, re-indexed
+};
+
+/// Drives one seeded operation sequence through a store indexed by an
+/// Interner and an unindexed twin. A third of the keys have no handle
+/// (the fallback search). Return values, evictions, residents, Contains
+/// on every key and stats() must be identical.
+template <typename K>
+void RunResidencyDifferential(CachePolicy policy, uint64_t capacity,
+                              uint64_t seed, IndexAttach attach) {
+  SCOPED_TRACE(std::string(CachePolicyName(policy)) + " capacity=" +
+               std::to_string(capacity) + " seed=" + std::to_string(seed) +
+               " attach=" + std::to_string(static_cast<int>(attach)));
+  const uint64_t kKeys = 48;
+  auto key_of = [](uint64_t d) { return static_cast<K>(d * 7 + 3); };
+  std::vector<K> universe;
+  for (uint64_t d = 0; d < kKeys; ++d) {
+    if (d % 3 != 2) universe.push_back(key_of(d));
+  }
+  Interner<K> table;
+  table.Build(universe);
+  KeyedStore<K> plain(policy, capacity);
+  KeyedStore<K> indexed(policy, capacity);
+  if (attach != IndexAttach::kWhenPopulated) indexed.IndexResidency(&table);
+  Rng rng(seed);
+  const double kCosts[] = {1.0, 2.5, 40.0, 0.0};
+  auto draw = [&rng](int64_t hi) {
+    return static_cast<uint64_t>(rng.UniformInt(0, hi));
+  };
+  auto expect_same_residency = [&](int step) {
+    ASSERT_EQ(indexed.Keys(), plain.Keys()) << "step " << step;
+    ASSERT_EQ(indexed.bytes_used(), plain.bytes_used()) << "step " << step;
+    for (uint64_t d = 0; d <= kKeys; ++d) {  // kKeys: never inserted
+      ASSERT_EQ(indexed.Contains(key_of(d)), plain.Contains(key_of(d)))
+          << "key " << key_of(d) << " step " << step;
+    }
+  };
+  for (int step = 0; step < 3000; ++step) {
+    if (step == 1000 && attach == IndexAttach::kWhenPopulated) {
+      ASSERT_FALSE(indexed.empty());
+      indexed.IndexResidency(&table);
+      expect_same_residency(step);
+    }
+    if (step == 1000 && attach == IndexAttach::kThroughMove) {
+      KeyedStore<K> in_flight(std::move(indexed));
+      KeyedStore<K> successor(policy, capacity);
+      successor.IndexResidency(&table);
+      successor = std::move(in_flight);  // the index travels with it
+      indexed = std::move(successor);
+      expect_same_residency(step);
+      indexed.IndexResidency(&table);
+      expect_same_residency(step);
+    }
+    const K key = key_of(draw(kKeys - 1));
+    const uint64_t size = draw(64);
+    std::vector<K> got;
+    std::vector<K> want;
+    const uint64_t op = draw(99);
+    if (op < 40) {
+      const double cost = kCosts[draw(3)];
+      ASSERT_EQ(indexed.Insert(key, size, &got, cost),
+                plain.Insert(key, size, &want, cost))
+          << "insert step " << step;
+    } else if (op < 70) {
+      ASSERT_EQ(indexed.TouchIfResident(key), plain.TouchIfResident(key))
+          << "touch step " << step;
+    } else if (op < 85) {
+      const uint64_t new_size = draw(capacity > 0 ? 140 : 64);
+      ASSERT_EQ(indexed.Resize(key, new_size, &got),
+                plain.Resize(key, new_size, &want))
+          << "resize step " << step;
+    } else if (op < 97) {
+      ASSERT_EQ(indexed.Erase(key), plain.Erase(key)) << "erase step " << step;
+    } else {
+      const uint64_t reserved = draw(2) == 0 ? draw(150) : 0;
+      indexed.SetReservedBytes(reserved, &got);
+      plain.SetReservedBytes(reserved, &want);
+    }
+    ASSERT_EQ(got, want) << "evictions differ at step " << step;
+    if (step % 25 == 0) {
+      expect_same_residency(step);
+    } else {
+      ASSERT_EQ(indexed.Keys(), plain.Keys()) << "step " << step;
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  expect_same_residency(3000);
+  EXPECT_EQ(indexed.stats().insertions, plain.stats().insertions);
+  EXPECT_EQ(indexed.stats().hits, plain.stats().hits);
+  EXPECT_EQ(indexed.stats().evictions, plain.stats().evictions);
+  EXPECT_EQ(indexed.stats().bytes_evicted, plain.stats().bytes_evicted);
+  EXPECT_EQ(indexed.stats().admission_rejects,
+            plain.stats().admission_rejects);
+  EXPECT_GT(indexed.stats().hits, 20u) << "sequence rarely hit";
+  if (capacity > 0 && policy != CachePolicy::kUnbounded) {
+    EXPECT_GT(indexed.stats().evictions, 100u) << "sequence never evicted";
+  }
+}
+
+template <typename K>
+class KeyedStoreResidencyTest : public ::testing::Test {};
+TYPED_TEST_SUITE(KeyedStoreResidencyTest, StoreKeys);
+
+TYPED_TEST(KeyedStoreResidencyTest, IndexedMatchesUnindexed) {
+  for (CachePolicy policy : {CachePolicy::kUnbounded, CachePolicy::kLru,
+                             CachePolicy::kLfu, CachePolicy::kGdsf}) {
+    for (uint64_t capacity : {uint64_t{0}, uint64_t{120}, uint64_t{400}}) {
+      for (IndexAttach attach :
+           {IndexAttach::kFromStart, IndexAttach::kWhenPopulated,
+            IndexAttach::kThroughMove}) {
+        for (uint64_t seed : {1, 2}) {
+          RunResidencyDifferential<TypeParam>(policy, capacity, seed, attach);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+// A promoted content peer's store is moved out; the moved-from store
+// must answer from its (now empty) residents, not from a stale index.
+TEST(KeyedStoreResidencyTest, MovedFromStoreFallsBackToSearch) {
+  ObjectIdTable table;
+  table.Build({10, 20, 30});
+  ContentStore source;
+  source.IndexResidency(&table);
+  source.Insert(20, 1);
+  ContentStore successor(std::move(source));
+  EXPECT_TRUE(successor.Contains(20));
+  EXPECT_FALSE(source.Contains(20));  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(source.TouchIfResident(20));
+  EXPECT_TRUE(source.Insert(10, 1));
+  EXPECT_TRUE(source.Contains(10));
+  EXPECT_FALSE(source.Contains(20));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace flower {
 namespace {
@@ -153,6 +154,79 @@ TEST(ConfigTest, ApplyArgsRejectsNonKeyValue) {
   SimConfig c;
   const char* argv[] = {"prog", "--help"};
   EXPECT_FALSE(c.ApplyArgs(2, const_cast<char**>(argv)).ok());
+}
+
+// Applies `args` as command-line overrides (ApplyArgs: every key, then
+// the cross-key checks).
+Status ApplyAll(SimConfig* c, const std::vector<const char*>& args) {
+  std::vector<char*> argv = {const_cast<char*>("prog")};
+  for (const char* a : args) argv.push_back(const_cast<char*>(a));
+  return c->ApplyArgs(static_cast<int>(argv.size()), argv.data());
+}
+
+// The D-ring id geometry spans four keys, so it is checked after the
+// last key is applied: each rule is refused with the keys named, the
+// edges stay accepted, and key order does not matter.
+TEST(ConfigTest, DRingGeometryValidatedAcrossKeys) {
+  struct Bad {
+    std::vector<const char*> args;
+    std::vector<std::string> named;
+  };
+  const std::vector<Bad> bad = {
+      // The two reproducers: the first hung, the second logged failed
+      // directory starts and exited 0.
+      {{"duration=1h", "num_topology_nodes=600", "chord_id_bits=0"},
+       {"chord_id_bits"}},
+      {{"duration=1h", "num_topology_nodes=600", "locality_id_bits=0"},
+       {"locality_id_bits"}},
+      {{"chord_id_bits=1"}, {"chord_id_bits"}},
+      {{"chord_id_bits=65"}, {"chord_id_bits"}},
+      // 6 localities (default) need 3 bits.
+      {{"locality_id_bits=2"}, {"locality_id_bits", "num_localities"}},
+      {{"locality_id_bits=3", "num_localities=9"},
+       {"locality_id_bits", "num_localities"}},
+      // No bit left for the website field.
+      {{"chord_id_bits=10", "locality_id_bits=8", "scaleup_extra_bits=2"},
+       {"locality_id_bits", "scaleup_extra_bits", "chord_id_bits"}},
+      {{"chord_id_bits=8", "locality_id_bits=8"},
+       {"locality_id_bits", "chord_id_bits"}},
+      {{"scaleup_instances=3", "scaleup_extra_bits=1"},
+       {"scaleup_instances", "scaleup_extra_bits"}},
+      {{"scaleup_instances=2"}, {"scaleup_instances", "scaleup_extra_bits"}},
+  };
+  for (const Bad& b : bad) {
+    SimConfig c;
+    Status s = ApplyAll(&c, b.args);
+    std::string joined;
+    for (const char* a : b.args) joined += std::string(a) + " ";
+    ASSERT_FALSE(s.ok()) << joined;
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << joined;
+    EXPECT_FALSE(c.Validate().ok()) << joined;
+    for (const std::string& key : b.named) {
+      EXPECT_NE(s.message().find(key), std::string::npos)
+          << joined << "-> " << s.ToString() << " does not name " << key;
+    }
+  }
+
+  const std::vector<std::vector<const char*>> good = {
+      {},
+      {"chord_id_bits=64"},
+      {"chord_id_bits=2", "locality_id_bits=1", "num_localities=2"},
+      {"locality_id_bits=3", "num_localities=8"},
+      {"chord_id_bits=11", "locality_id_bits=8", "scaleup_extra_bits=2"},
+      {"scaleup_extra_bits=2", "scaleup_instances=4"},
+      // Order must not matter: the first key alone is invalid here.
+      {"locality_id_bits=1", "num_localities=2"},
+      {"chord_id_bits=4", "locality_id_bits=1", "num_localities=2"},
+      {"scaleup_instances=2", "scaleup_extra_bits=1"},
+  };
+  for (const auto& args : good) {
+    SimConfig c;
+    Status s = ApplyAll(&c, args);
+    std::string joined;
+    for (const char* a : args) joined += std::string(a) + " ";
+    EXPECT_TRUE(s.ok()) << joined << "-> " << s.ToString();
+  }
 }
 
 TEST(ConfigTest, DirectoryIndexKeys) {

@@ -71,6 +71,18 @@ TEST(SystemRegistryTest, EmbedderCanRegisterACustomSystem) {
 
 // --- Builder ------------------------------------------------------------------
 
+// Configs assembled field by field (sweep drivers, embedders) skip
+// ApplyArgs, so the run itself refuses a D-ring geometry that cannot
+// place a directory instead of failing every join.
+TEST(ExperimentTest, InvalidIdGeometryIsRefusedBeforeTheRun) {
+  SimConfig c = SmallConfig();
+  c.chord_id_bits = 0;
+  Result<RunResult> r = Experiment(c).TryRun();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("chord_id_bits"), std::string::npos);
+}
+
 TEST(ExperimentTest, ConfigSystemKeyIsTheDefault) {
   SimConfig c = SmallConfig();
   ASSERT_TRUE(c.Apply("system", "squirrel").ok());

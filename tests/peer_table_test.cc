@@ -89,5 +89,52 @@ TEST(PeerTableTest, SlotsStayDenseAndConsistentUnderChurn) {
   }
 }
 
+// The index is a vector over NodeIds: a node past its end, a slot never
+// filled below it and a slot vacated by Take all read as vacant.
+TEST(PeerTableTest, VacantAndOutOfRangeNodes) {
+  PeerTable<FakePeer> table;
+  EXPECT_EQ(table.Find(0), nullptr);  // empty index
+  EXPECT_FALSE(table.Contains(0));
+  EXPECT_EQ(table.Take(0), nullptr);
+  table.Insert(5, std::make_unique<FakePeer>(5));
+  for (NodeId n : {0u, 4u, 6u, 1'000'000u, kInvalidNode}) {
+    EXPECT_EQ(table.Find(n), nullptr) << n;
+    EXPECT_FALSE(table.Contains(n)) << n;
+    EXPECT_EQ(table.Take(n), nullptr) << n;
+  }
+  EXPECT_EQ(table.size(), 1u);
+  ASSERT_NE(table.Take(5), nullptr);
+  EXPECT_FALSE(table.Contains(5));
+  EXPECT_EQ(table.Find(5), nullptr);
+  EXPECT_TRUE(table.empty());
+}
+
+// Take moves the last slot into the hole and re-points its index entry;
+// a taken node re-inserts at the end with a fresh peer.
+TEST(PeerTableTest, TakeSwapsLastIntoTheHoleAndReinserts) {
+  PeerTable<FakePeer> table;
+  std::vector<FakePeer*> raw;
+  for (NodeId n : {10u, 20u, 30u, 40u}) {
+    raw.push_back(table.Insert(n, std::make_unique<FakePeer>(n)));
+  }
+  std::unique_ptr<FakePeer> taken = table.Take(20);
+  ASSERT_EQ(taken.get(), raw[1]);
+  ASSERT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.nodes()[1], 40u);  // the last slot filled the hole
+  EXPECT_EQ(table.at(1), raw[3]);
+  EXPECT_EQ(table.Find(40), raw[3]);
+  EXPECT_EQ(table.Find(10), raw[0]);
+  EXPECT_EQ(table.Find(30), raw[2]);
+  // Taking the last slot moves nothing.
+  ASSERT_EQ(table.Take(30).get(), raw[2]);
+  EXPECT_EQ(table.nodes(), (std::vector<NodeId>{10, 40}));
+  FakePeer* again = table.Insert(20, std::make_unique<FakePeer>(20));
+  EXPECT_EQ(table.Find(20), again);
+  EXPECT_EQ(table.nodes().back(), 20u);
+  EXPECT_EQ(table.at(table.size() - 1), again);
+  EXPECT_EQ(table.Find(40), raw[3]);
+  EXPECT_FALSE(table.Contains(30));
+}
+
 }  // namespace
 }  // namespace flower
